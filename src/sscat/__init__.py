@@ -1,12 +1,12 @@
 """k-dimensional semisymmetric weighted Catalan numbers.
 
 Balanced ballot paths, semisymmetric height and weights, exact counting
-(brute force and transfer-matrix DP), height/Narayana triangles,
+(lattice DP, transfer-matrix DP, and brute force), height/Narayana triangles,
 periodicity mod m, the standard-Young-tableau bijection with its tally
 statistic, and OEIS b-file tooling.
 """
 
-from .backend import ACTIVE_BACKEND, available_backends, stat_histograms
+from .backend import ACTIVE_BACKEND, height_histogram, peak_histogram, stat_histograms
 from .counting import (
     DEFAULT_PATH_CAP,
     StateSpace,
@@ -21,6 +21,8 @@ from .counting import (
     max_path_height,
     min_path_height,
     sswcn_brute,
+    sswcn_lattice,
+    sswcn_lattice_value,
     sub_sswcn_brute,
 )
 from .errors import (
@@ -40,7 +42,6 @@ from .errors import (
     SequenceUnavailableError,
     SscatError,
     TooLargeError,
-    UncomputableError,
 )
 from .oeis import (
     ComparisonReport,

@@ -1,38 +1,47 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Height and peak histograms of balanced ballot paths by the lattice DP.
 
-Set the environment variable ``SSCAT_PURE_PYTHON`` (to any non-empty
-value) before import to force the pure-Python kernel even when the
-compiled one is installed.
+`ACTIVE_BACKEND` names the implementation for run provenance; there is
+only the pure-Python one.
 """
 
 from __future__ import annotations
 
-import os
+from .paths import lattice_sum
 
-from . import _pypaths
-
-if os.environ.get("SSCAT_PURE_PYTHON"):
-    _impl = _pypaths
-    ACTIVE_BACKEND = "python"
-else:
-    try:
-        from . import _fastpaths as _impl  # type: ignore[no-redef]
-
-        ACTIVE_BACKEND = "cython"
-    except ImportError:
-        _impl = _pypaths
-        ACTIVE_BACKEND = "python"
-
-stat_histograms = _impl.stat_histograms
+ACTIVE_BACKEND = "python"
 
 
-def available_backends() -> list[str]:
-    """Names of the kernels importable in this installation."""
-    names = ["python"]
-    try:
-        from . import _fastpaths  # noqa: F401
+def height_histogram(k: int, n: int) -> dict[int, int]:
+    """Number of balanced ballot paths of length k*n by maximum
+    semisymmetric height; each point is tagged with the running maximum."""
 
-        names.insert(0, "cython")
-    except ImportError:
-        pass
-    return names
+    def step(vector, d, g, g2):
+        return ((gmax if gmax > g2 else g2, c) for gmax, c in vector.items())
+
+    return lattice_sum(k, n, 0, step)
+
+
+def peak_histogram(k: int, n: int) -> dict[int, int]:
+    """Number of balanced ballot paths of length k*n by semisymmetric peak
+    count; each point is tagged with (last step was up, peaks so far)."""
+    up = k // 2
+    down_start = (k + 1) // 2 + 1
+
+    def step(vector, d, g, g2):
+        is_up, is_down = d <= up, d >= down_start
+        return (
+            ((is_up, peaks + 1 if was_up and is_down else peaks), c)
+            for (was_up, peaks), c in vector.items()
+        )
+
+    histogram: dict[int, int] = {}
+    for (_, peaks), c in lattice_sum(k, n, (False, 0), step).items():
+        histogram[peaks] = histogram.get(peaks, 0) + c
+    return histogram
+
+
+def stat_histograms(k: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(height_histogram, peak_histogram) of the balanced ballot paths of
+    length k*n, each a dict from statistic value to the number of paths
+    attaining it."""
+    return height_histogram(k, n), peak_histogram(k, n)

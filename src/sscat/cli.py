@@ -2,7 +2,9 @@
 
 Exit status: 0 on success/verified, 1 on a verification or comparison
 mismatch, 2 on usage errors.  JSON output encodes big integers as decimal
-strings so consumers are not limited to 53-bit floats.
+strings so consumers are not limited to 53-bit floats.  Answers are printed
+in full however many digits they have; Python's digit limit stays in force
+for parsing arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import triangles
-from .counting import bounded_sswcn_dp, catalan_number, sswcn_brute
+from .counting import (
+    bounded_sswcn_dp,
+    catalan_number,
+    sswcn_lattice,
+    sswcn_lattice_value,
+)
 from .errors import FormulaViolationError, SscatError
 from .oeis import SequenceRecord, compare_sequences, fetch_bfile
 from .paths import BallotPath, enumerate_paths
@@ -22,6 +29,24 @@ from .syt import Tableau, path_to_tableau, tableau_to_path, tally
 from .weights import WeightAssignment
 
 FORMATS = ("plain", "json", "csv")
+
+# Below the smallest digit limit Python accepts (640), so every chunk
+# converts under any setting of the limit.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal_text(value: int) -> str:
+    """Decimal digits of *value*, converted in chunks that each stay under
+    Python's int-to-string digit limit."""
+    if value < 0:
+        return "-" + _decimal_text(-value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 def _parse_weight_sequence(text: Optional[str]) -> tuple[tuple[int, ...], int]:
@@ -93,37 +118,39 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    value = catalan_number(args.k, args.n)
+    value = _decimal_text(catalan_number(args.k, args.n))
     _emit(
         args,
-        str(value),
-        {"k": args.k, "n": args.n, "count": str(value)},
+        value,
+        {"k": args.k, "n": args.n, "count": value},
         f"k,n,count\n{args.k},{args.n},{value}\n",
     )
     return 0
 
 
 def _cmd_bounded(args) -> int:
-    value = bounded_sswcn_dp(args.k, args.u, args.n, _weights(args), args.mod)
+    value = _decimal_text(
+        bounded_sswcn_dp(args.k, args.u, args.n, _weights(args), args.mod)
+    )
     _emit(
         args,
-        str(value),
-        {"k": args.k, "u": args.u, "n": args.n, "mod": args.mod, "value": str(value)},
+        value,
+        {"k": args.k, "u": args.u, "n": args.n, "mod": args.mod, "value": value},
         f"k,u,n,value\n{args.k},{args.u},{args.n},{value}\n",
     )
     return 0
 
 
 def _cmd_sswcn(args) -> int:
-    poly = sswcn_brute(args.k, args.n)
     if args.symbolic:
+        poly = sswcn_lattice(args.k, args.n)
         _emit(args, poly.text(), {"k": args.k, "n": args.n, "polynomial": poly.to_json()})
     else:
-        value = poly.evaluate(_weights(args))
+        value = _decimal_text(sswcn_lattice_value(args.k, args.n, _weights(args)))
         _emit(
             args,
-            str(value),
-            {"k": args.k, "n": args.n, "value": str(value)},
+            value,
+            {"k": args.k, "n": args.n, "value": value},
             f"k,n,value\n{args.k},{args.n},{value}\n",
         )
     return 0
@@ -279,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="c weights, e.g. 1,1,fill=1")
     p.add_argument("--mod", type=int, default=None)
 
-    p = add("sswcn", _cmd_sswcn, "unbounded weighted count (brute force)")
+    p = add("sswcn", _cmd_sswcn, "unbounded weighted count (lattice DP)")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--symbolic", action="store_true", help="print the polynomial")

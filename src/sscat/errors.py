@@ -47,10 +47,6 @@ class FormulaViolationError(SscatError):
         self.witness = witness
 
 
-class UncomputableError(SscatError):
-    """No divisibility certificate holds and brute force is out of reach."""
-
-
 class BFileError(SscatError):
     """Base class for b-file ingestion problems."""
 

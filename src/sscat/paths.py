@@ -1,4 +1,6 @@
-"""Points, step taxonomy, and pruned enumeration of ballot paths.
+"""Points, step taxonomy, the ballot-successor rule, and the two walks
+built on it: pruned depth-first enumeration of ballot paths, and the
+layered lattice DP that sums over them without enumerating.
 
 A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidDimensionError,
@@ -128,6 +130,100 @@ class BallotPath:
         return all(self.steps.count(d) == n for d in range(1, self.k + 1))
 
 
+def ballot_successors(x: Sequence[int], top: Point) -> list[int]:
+    """The directions d (1..k) such that x + e_d is still a ballot point
+    inside the box with upper corner *top*."""
+    found = [1] if x[0] < top[0] else []
+    for i in range(1, len(x)):
+        if x[i] < x[i - 1] and x[i] < top[i]:
+            found.append(i + 1)
+    return found
+
+
+def ballot_walks(
+    k: int,
+    start: Point,
+    top: Point,
+    length: int,
+    height_bound: Optional[int] = None,
+) -> Iterator[tuple[tuple[int, ...], Point]]:
+    """Depth-first walks of *length* successor steps from *start*, trying
+    directions 1..k at each step; yields (steps, endpoint).
+
+    Prunes any branch whose semisymmetric height exceeds *height_bound*.
+    """
+    coeffs = height_coefficients(k)
+    g0 = sum(c * v for c, v in zip(coeffs, start))
+    if length < 0 or (height_bound is not None and g0 > height_bound):
+        return
+    x = list(start)
+    steps: list[int] = []
+    # Moves still to try, the next one last, as (direction, height after
+    # it); a negative direction takes that step back.
+    todo = [(0, g0)]
+    while todo:
+        d, g = todo.pop()
+        if d < 0:
+            x[-d - 1] -= 1
+            steps.pop()
+            continue
+        if d:
+            x[d - 1] += 1
+            steps.append(d)
+            todo.append((-d, g))
+        if len(steps) == length:
+            yield tuple(steps), tuple(x)
+            continue
+        for e in reversed(ballot_successors(x, top)):
+            g2 = g + coeffs[e - 1]
+            if height_bound is None or g2 <= height_bound:
+                todo.append((e, g2))
+
+
+def lattice_sum(
+    k: int,
+    n: int,
+    seed: Hashable,
+    step: Callable[[dict, int, int, int], Iterable[tuple[Hashable, int]]],
+    height_bound: Optional[int] = None,
+) -> dict:
+    """Layered DP over the ballot points of the box [0, n]^k, from the origin
+    to its top corner (n, ..., n).
+
+    Every point carries a sparse vector {tag: coefficient}, starting from
+    {seed: 1} at the origin.  Moving a vector along a step in direction d
+    from a point of height g to one of height g2 is ``step(vector, d, g,
+    g2)``, which yields (tag, coefficient) pairs; pairs reaching the same
+    point are summed.  Steps above *height_bound* are pruned.  Since a
+    step's effect depends only on its end points, the vector at the top sums
+    the effect of every balanced walk without visiting any walk.
+    """
+    coeffs = height_coefficients(k)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    top = (n,) * k
+    if height_bound is not None and height_bound < 0:
+        return {}
+    layer: dict[Point, tuple[int, dict]] = {(0,) * k: (0, {seed: 1})}
+    for _ in range(k * n):
+        following: dict[Point, tuple[int, dict]] = {}
+        for x, (g, vector) in layer.items():
+            for d in ballot_successors(x, top):
+                g2 = g + coeffs[d - 1]
+                if height_bound is not None and g2 > height_bound:
+                    continue
+                y = x[: d - 1] + (x[d - 1] + 1,) + x[d:]
+                if y in following:
+                    target = following[y][1]
+                else:
+                    target = {}
+                    following[y] = (g2, target)
+                for tag, coeff in step(vector, d, g, g2):
+                    target[tag] = target.get(tag, 0) + coeff
+        layer = following
+    return layer[top][1] if top in layer else {}
+
+
 def enumerate_paths(
     k: int, n: int, height_bound: Optional[int] = None
 ) -> Iterator[BallotPath]:
@@ -140,33 +236,8 @@ def enumerate_paths(
     """
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
-    coeffs = height_coefficients(k)
-    if height_bound is not None and height_bound < 0:
-        return  # even the empty path has height 0
-    if n == 0:
-        yield BallotPath(k, ())
-        return
-    counts = [0] * (k + 1)
-    path: list[int] = []
-    total = k * n
-
-    def rec(depth: int, g: int) -> Iterator[BallotPath]:
-        if depth == total:
-            yield BallotPath(k, tuple(path))
-            return
-        for d in range(1, k + 1):
-            if counts[d] >= n or (d > 1 and counts[d] >= counts[d - 1]):
-                continue
-            g2 = g + coeffs[d - 1]
-            if height_bound is not None and g2 > height_bound:
-                continue
-            counts[d] += 1
-            path.append(d)
-            yield from rec(depth + 1, g2)
-            counts[d] -= 1
-            path.pop()
-
-    yield from rec(0, 0)
+    for steps, _ in ballot_walks(k, (0,) * k, (n,) * k, k * n, height_bound):
+        yield BallotPath(k, steps)
 
 
 def enumerate_sub_paths(
@@ -186,32 +257,9 @@ def enumerate_sub_paths(
         raise InvalidEndpointError(f"endpoints {start}, {end} must be ballot points")
     if any(a > b for a, b in zip(start, end)):
         raise InvalidEndpointError(f"start {start} must not exceed end {end}")
-    coeffs = height_coefficients(k)
-    g0 = sum(c * x for c, x in zip(coeffs, start))
-    if height_bound is not None and g0 > height_bound:
-        return
-    x = list(start)
-    path: list[int] = []
-    total = sum(b - a for a, b in zip(start, end))
-
-    def rec(depth: int, g: int) -> Iterator[BallotPath]:
-        if depth == total:
-            yield BallotPath(k, tuple(path), origin=start)
-            return
-        for d in range(1, k + 1):
-            i = d - 1
-            if x[i] >= end[i] or (d > 1 and x[i] >= x[i - 1]):
-                continue
-            g2 = g + coeffs[i]
-            if height_bound is not None and g2 > height_bound:
-                continue
-            x[i] += 1
-            path.append(d)
-            yield from rec(depth + 1, g2)
-            x[i] -= 1
-            path.pop()
-
-    yield from rec(0, g0)
+    length = sum(end) - sum(start)
+    for steps, _ in ballot_walks(k, start, end, length, height_bound):
+        yield BallotPath(k, steps, origin=start)
 
 
 def reflect_point(k: int, n: int, p: Point) -> Point:

@@ -6,7 +6,7 @@ pigeonhole; cycle detection on the vector orbit yields a preperiod t and
 period omega that the scalar sequence inherits.  For the unbounded
 sequence, two divisibility certificates on the weight assignment justify
 truncating at a finite height bound, after which the bounded machinery
-applies.
+applies; without one, the lattice DP mod m gives the term directly.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .counting import DEFAULT_PATH_CAP, _transfer_matrix, catalan_number, sswcn_brute
-from .errors import UncomputableError
+from .counting import _transfer_matrix, bounded_sswcn_dp, sswcn_lattice_value
 from .weights import WeightAssignment
 
 DEFAULT_SEARCH_HORIZON = 64
@@ -85,6 +84,9 @@ def detect_eventual_period(
         index += 1
     t = seen[gamma]
     omega = index - t
+    # Free the orbit (the bulk of the memory) before the sequence grows to
+    # about 4 * omega terms, so the two never peak together.
+    del seen
 
     # Extend the scalar sequence far enough to re-verify three extra periods.
     horizon = t + 4 * omega
@@ -177,7 +179,7 @@ def check_pairwise_product_divisibility(
 class TruncationCertificate:
     """Why cutting the height at `bound` preserves the count mod m."""
 
-    kind: str  # "entrywise" | "pairwise-product" | "brute-force"
+    kind: str  # "entrywise" | "pairwise-product" | "lattice"
     u: Optional[int]
     bound: Optional[int]
     condition: Optional[int] = None
@@ -197,11 +199,10 @@ def unbounded_sswcn_mod(
     w: WeightAssignment,
     m: int,
     search_horizon: int = DEFAULT_SEARCH_HORIZON,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> tuple[int, TruncationCertificate]:
     """The unbounded weighted count mod m, via a certified height
-    truncation when a divisibility hypothesis holds, otherwise by brute
-    force when small enough."""
+    truncation when a divisibility hypothesis holds, otherwise by the
+    lattice DP mod m."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     entrywise = check_entrywise_divisibility(w, m, k, search_horizon)
@@ -211,18 +212,9 @@ def unbounded_sswcn_mod(
         cert = TruncationCertificate("entrywise", u, bound, condition)
     else:
         u = check_pairwise_product_divisibility(w, m, k, search_horizon)
-        if u is not None:
-            bound = u + 2 * k - 1
-            cert = TruncationCertificate("pairwise-product", u, bound)
-        elif catalan_number(k, n) <= cap:
-            value = sswcn_brute(k, n, cap).evaluate(w, m)
-            return value, TruncationCertificate("brute-force", None, None)
-        else:
-            raise UncomputableError(
-                "neither the entrywise nor the pairwise-product divisibility "
-                f"hypothesis holds for m={m} within horizon {search_horizon}, "
-                f"and enumerating (k={k}, n={n}) exceeds the cap"
-            )
-    from .counting import bounded_sswcn_dp
-
+        if u is None:
+            value = sswcn_lattice_value(k, n, w, m)
+            return value, TruncationCertificate("lattice", None, None)
+        bound = u + 2 * k - 1
+        cert = TruncationCertificate("pairwise-product", u, bound)
     return bounded_sswcn_dp(k, bound, n, w, m), cert

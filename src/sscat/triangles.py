@@ -3,9 +3,10 @@
 The height triangle counts balanced ballot paths by their maximum
 semisymmetric height; the Narayana triangle counts them by the number of
 semisymmetric peaks (an up-step immediately followed by a down-step).
-Each row is computed by direct enumeration bucketing and, for the height
-triangle, independently as successive differences of bounded counts — the
-two must agree.
+Each row is computed by the lattice DP over the ballot points of the box
+and checked: height rows against successive differences of bounded
+transfer-matrix counts, Narayana rows against the Catalan number.  Path
+enumeration is the test oracle for both.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from typing import Iterable, Sequence
 
 from . import backend
 from .counting import (
-    DEFAULT_PATH_CAP,
     bounded_catalan,
-    bounded_sswcn_brute,
     bounded_sswcn_dp,
     catalan_number,
     max_path_height,
     min_path_height,
+    sswcn_lattice,
 )
-from .errors import FormulaViolationError, TooLargeError
+from .errors import FormulaViolationError
 from .weights import WeightAssignment, WeightMonomial, WeightPolynomial
 
 HEIGHT_TRIANGLE = "height"
@@ -72,23 +72,18 @@ def rows_to_csv(rows: Iterable[TriangleRow]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _histograms(k: int, n: int, cap: int = DEFAULT_PATH_CAP):
-    """Single enumeration pass bucketing both statistics at once."""
-    total = catalan_number(k, n)
-    if total > cap:
-        raise TooLargeError(
-            f"enumerating {total} paths for (k={k}, n={n}) exceeds the cap of {cap}"
-        )
+def _histograms(k: int, n: int):
+    """Both statistics' histograms, from the lattice DP."""
     return backend.stat_histograms(k, n)
 
 
-def height_triangle_row(k: int, n: int, cap: int = DEFAULT_PATH_CAP) -> TriangleRow:
+def height_triangle_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by exact maximum
     semisymmetric height, cross-checked against differences of bounded
     counts."""
-    by_enumeration, _ = _histograms(k, n, cap)
+    by_lattice, _ = _histograms(k, n)
     if n == 0:
-        return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_enumeration))
+        return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_lattice))
     by_difference: dict[int, int] = {}
     previous = 0
     for u in range(min_path_height(k), max_path_height(k, n) + 1):
@@ -96,20 +91,29 @@ def height_triangle_row(k: int, n: int, cap: int = DEFAULT_PATH_CAP) -> Triangle
         if current != previous:
             by_difference[u] = current - previous
         previous = current
-    if by_difference != by_enumeration:
+    if by_difference != by_lattice:
         raise FormulaViolationError(
             f"height row (k={k}, n={n}): difference-of-bounded-counts disagrees "
-            "with direct enumeration",
-            expected=by_enumeration,
+            "with the lattice DP",
+            expected=by_lattice,
             actual=by_difference,
+            witness=(k, n),
         )
-    return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_enumeration))
+    return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_lattice))
 
 
-def narayana_row(k: int, n: int, cap: int = DEFAULT_PATH_CAP) -> TriangleRow:
+def narayana_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by number of
-    semisymmetric peaks."""
-    _, by_peaks = _histograms(k, n, cap)
+    semisymmetric peaks, cross-checked against the row total."""
+    _, by_peaks = _histograms(k, n)
+    total = catalan_number(k, n)
+    if sum(by_peaks.values()) != total:
+        raise FormulaViolationError(
+            f"Narayana row (k={k}, n={n}) does not sum to the Catalan number",
+            expected=total,
+            actual=sum(by_peaks.values()),
+            witness=(k, n),
+        )
     return TriangleRow(NARAYANA_TRIANGLE, k, n, dict(by_peaks))
 
 
@@ -148,8 +152,8 @@ _MIN_U_CASES = {
 def verify_min_u_formulas(k: int, n: int) -> VerificationRecord:
     """At the two smallest admissible height bounds, the bounded weighted
     count collapses to a single path's b-part: B0^n (k=3), (B0 B3)^n (k=4),
-    or (B0 B4)^n (k=5).  Verified symbolically against brute force with the
-    C variables set to 1."""
+    or (B0 B4)^n (k=5).  Verified symbolically against the bounded lattice
+    DP with the C variables set to 1."""
     if k not in _MIN_U_CASES:
         raise ValueError(f"k must be 3, 4, or 5, got {k}")
     if n < 1:
@@ -158,7 +162,7 @@ def verify_min_u_formulas(k: int, n: int) -> VerificationRecord:
     expected = _power_poly(b_indices, n)
     checks = []
     for u in bounds:
-        actual = bounded_sswcn_brute(k, u, n).drop_c()
+        actual = sswcn_lattice(k, n, u).drop_c()
         _expect(
             actual == expected,
             f"bounded count (k={k}, u={u}, n={n}) does not equal the single-path form",

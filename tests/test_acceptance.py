@@ -20,6 +20,7 @@ from sscat import (
     detect_eventual_period,
     enumerate_paths,
     fetch_bfile,
+    height_histogram,
     height_triangle_row,
     legacy_wcn_brute,
     max_path_height,
@@ -71,14 +72,14 @@ def test_criterion_3_oeis_prefixes():
     for n in range(13):
         assert bounded_catalan(3, 4, n) == a015448.value_at(n)
 
+    # every bundled term, from the lattice DP's height histogram
     a274969 = fetch_bfile("A274969", offline=True)
-    for n in range(1, 6):
-        assert height_triangle_row(3, n).entries[2 * n] == a274969.value_at(n)
+    for n, value in enumerate(a274969.values, start=a274969.offset):
+        assert height_histogram(3, n)[2 * n] == value
 
     a001246 = fetch_bfile("A001246", offline=True)
-    for n in range(1, 5):
-        rightmost = height_triangle_row(4, n).entries[max_path_height(4, n)]
-        assert rightmost == a001246.value_at(n)
+    for n, value in enumerate(a001246.values, start=a001246.offset):
+        assert height_histogram(4, n)[max_path_height(4, n)] == value
 
     a060854 = fetch_bfile("A060854", offline=True)
     # square array read by antidiagonals d = k + n, k ascending

@@ -1,8 +1,11 @@
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
-from sscat.cli import _parse_weight_sequence, main
+from sscat import WeightAssignment, bounded_sswcn_dp
+from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
 
 def run(capsys, *argv):
@@ -120,7 +123,44 @@ def test_invalid_arguments_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "bounded", "1", "4", "2")
     assert code == 2
+    for argv in (("bounded", "3", "-1", "2"), ("period", "3", "-1", "--mod", "5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "height bound" in err
     # a bound below the minimum attainable height is not an error: there
     # are simply no paths
     code, out, _ = run(capsys, "bounded", "3", "1", "2")
     assert code == 0 and out.strip() == "0"
+
+
+@contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_text_matches_str():
+    values = (0, 7, -7, 10**600 - 1, 10**600, 10**1200 + 1, -(3**5000), 10**5000)
+    texts = [_decimal_text(v) for v in values]
+    with unlimited_int_digits():
+        assert texts == [str(v) for v in values]
+
+
+def test_answers_beyond_the_int_digit_limit(capsys):
+    # about 4,640 digits, above Python's default 4,300-digit limit, which
+    # stays in force while the CLI runs
+    argv = ["bounded", "3", "4", "700", "--b", "1000000,fill=1000000"]
+    outputs = {}
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and not err
+        outputs[fmt] = out
+    value = bounded_sswcn_dp(3, 4, 700, WeightAssignment((), 1000000))
+    with unlimited_int_digits():
+        assert len(str(value)) > 4300
+        assert outputs["plain"] == f"{value}\n"
+        assert json.loads(outputs["json"])["value"] == str(value)
+        assert outputs["csv"] == f"k,u,n,value\n3,4,700,{value}\n"

@@ -4,9 +4,9 @@ import pytest
 
 from sscat import (
     ALL_ONES,
-    UncomputableError,
     WeightAssignment,
     bounded_sequence_mod,
+    catalan_number,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
     detect_eventual_period,
@@ -113,9 +113,11 @@ def test_unbounded_mod_random_assignments_satisfying_entrywise():
                 assert value == sswcn_brute(k, n).evaluate(w, 3)
 
 
-def test_unbounded_mod_brute_fallback_and_error():
+def test_unbounded_mod_lattice_fallback():
     value, cert = unbounded_sswcn_mod(3, 2, ALL_ONES, 5)
-    assert cert.kind == "brute-force"
+    assert cert.kind == "lattice"
     assert value == 5 % 5
-    with pytest.raises(UncomputableError):
-        unbounded_sswcn_mod(3, 30, ALL_ONES, 5)
+    # far beyond brute force: the lattice DP mod m is exact at any n
+    value, cert = unbounded_sswcn_mod(3, 30, ALL_ONES, 5)
+    assert cert.kind == "lattice"
+    assert value == catalan_number(3, 30) % 5

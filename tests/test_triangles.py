@@ -21,6 +21,10 @@ from sscat import (
 from sscat.triangles import CSV_HEADER, records_to_json, rows_to_csv
 from tests.conftest import random_assignment
 
+# The bundled b-files A393573 (HEIGHT_ROWS_K3), A393594 (HEIGHT_ROWS_K4),
+# A393571 (NARAYANA_ROWS_K4) and A393747 (NARAYANA_ROWS_K3) were generated by
+# this package's own brute-force enumeration.  These rows pin regressions;
+# they are not independent oracles.
 HEIGHT_ROWS_K3 = {
     1: {2: 1},
     2: {2: 1, 4: 4},
@@ -162,6 +166,23 @@ def test_verify_narayana_one_peak():
         verify_narayana_one_peak(k, n)
     with pytest.raises(ValueError):
         verify_narayana_one_peak(3, 2)
+
+
+def test_narayana_row_checks_its_total(monkeypatch):
+    from sscat import triangles
+
+    monkeypatch.setattr(triangles, "_histograms", lambda k, n: ({}, {0: 1, 1: 3}))
+    with pytest.raises(FormulaViolationError) as excinfo:
+        narayana_row(3, 2)
+    assert excinfo.value.witness == (3, 2)
+    assert excinfo.value.expected == 5 and excinfo.value.actual == 4
+
+
+def test_height_rows_beyond_the_old_path_cap():
+    # (4, 6) has 1.3e8 paths, more than enumeration ever allowed
+    row = height_triangle_row(4, 6)
+    assert row.total() == catalan_number(4, 6)
+    assert row.entries[24] == catalan_number(2, 6) ** 2
 
 
 def test_verifier_failure_raises():
