@@ -157,6 +157,8 @@ def _cmd_sswcn(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    if args.rows < 0:
+        raise ValueError(f"--rows must be >= 0, got {args.rows}")
     build = (
         triangles.height_triangle_row
         if args.kind == "height"
@@ -185,11 +187,7 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        records = triangles.run_verifiers(args.name)
-    except FormulaViolationError as exc:
-        print(f"FAIL: {exc} (expected {exc.expected!r}, got {exc.actual!r})", file=sys.stderr)
-        return 1
+    records = triangles.run_verifiers(args.name)
     if args.format == "json":
         print(triangles.records_to_json(records))
     else:
@@ -361,7 +359,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.handler(args)
     except FormulaViolationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
+        print(
+            f"FAIL: {exc} (expected {exc.expected!r}, got {exc.actual!r}, "
+            f"witness {exc.witness!r})",
+            file=sys.stderr,
+        )
         return 1
     except SscatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,20 +1,20 @@
 """Exact counting: closed formula, lattice DP, transfer-matrix DP, and
 brute force.
 
-The routes validate each other: `catalan_number` is the factorial product
+The routes validate each other: `catalan_number` is the hook-length
 formula, the `sswcn_lattice*` functions run the layered DP over the ballot
 points of the box, `bounded_sswcn_dp` iterates the boundary-state transfer
-matrix, and the `*_brute` functions, the test oracle, sum weights over
-explicitly enumerated paths.  Wherever their domains overlap they must
-agree exactly.
+matrix (through `_orbit`, shared with the periodicity module), and the
+`*_brute` functions, the test oracle, sum weights over explicitly
+enumerated paths.  Wherever their domains overlap they must agree exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import FormulaViolationError, InvalidStateError, TooLargeError
@@ -41,17 +41,18 @@ DEFAULT_PATH_CAP = 10**7
 
 
 def catalan_number(k: int, n: int) -> int:
-    """The n-th k-dimensional Catalan number, 0!1!...(n-1)! (kn)! / (k!...(k+n-1)!).
+    """The n-th k-dimensional Catalan number: the standard Young tableaux of
+    the k x n rectangle, (kn)! over the product of its hook lengths i + j + 1
+    (0 <= i < k, 0 <= j < n).
 
     Accepts k >= 1 (the degenerate k=1 column is identically 1)."""
     if k < 1 or n < 0:
         raise ValueError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
-    num = math.prod(math.factorial(i) for i in range(n)) * math.factorial(k * n)
-    den = math.prod(math.factorial(k + i) for i in range(n))
-    quotient, remainder = divmod(num, den)
+    hooks = math.prod(i + j + 1 for i in range(k) for j in range(n))
+    quotient, remainder = divmod(math.factorial(k * n), hooks)
     if remainder:
         raise FormulaViolationError(
-            f"the product formula for (k={k}, n={n}) is not an integer",
+            f"the hook-length formula for (k={k}, n={n}) is not an integer",
             expected=0,
             actual=remainder,
             witness=(k, n),
@@ -209,9 +210,6 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "u": self.u, "states": [list(s) for s in self.states]}
-
 
 @lru_cache(maxsize=None)
 def build_state_space(k: int, u: int) -> StateSpace:
@@ -262,15 +260,6 @@ class TransferMatrix:
             [poly.evaluate(w, modulus) for poly in row] for row in self.entries
         ]
 
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "entries": [[poly.to_json() for poly in row] for row in self.entries],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 @lru_cache(maxsize=None)
 def _transfer_matrix(k: int, u: int) -> TransferMatrix:
@@ -290,6 +279,28 @@ def build_transfer_matrix(space: StateSpace) -> TransferMatrix:
     return _transfer_matrix(space.k, space.u)
 
 
+def _orbit(
+    k: int, u: int, w: WeightAssignment, modulus: Optional[int]
+) -> Iterator[tuple[int, ...]]:
+    """The boundary vectors gamma_0 = e_0, gamma_n = T gamma_{n-1}, where T
+    is the u-bounded transfer matrix evaluated at *w*; every vector is
+    reduced mod *modulus* when one is given.  Component 0 of gamma_n is the
+    u-bounded weighted count of length k*n.
+
+    T is evaluated once, and each row keeps only its nonzero entries."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    rows = [
+        [(j, value) for j, value in enumerate(row) if value]
+        for row in _transfer_matrix(k, u).evaluated(w, modulus)
+    ]
+    gamma = (1 if modulus is None else 1 % modulus,) + (0,) * (len(rows) - 1)
+    while True:
+        yield gamma
+        sums = [sum([v * gamma[j] for j, v in row]) for row in rows]
+        gamma = tuple(sums if modulus is None else [x % modulus for x in sums])
+
+
 def bounded_sswcn_dp(
     k: int,
     u: int,
@@ -297,19 +308,11 @@ def bounded_sswcn_dp(
     w: WeightAssignment = ALL_ONES,
     modulus: Optional[int] = None,
 ) -> int:
-    """Evaluate the u-bounded weighted sum by iterating gamma_n = T gamma_{n-1}
-    from the unit vector at the all-zero state."""
-    matrix = _transfer_matrix(k, u).evaluated(w, modulus)
-    size = len(matrix)
-    gamma = [0] * size
-    gamma[0] = 1
-    for _ in range(n):
-        gamma = [
-            sum(matrix[i][j] * gamma[j] for j in range(size)) for i in range(size)
-        ]
-        if modulus is not None:
-            gamma = [v % modulus for v in gamma]
-    return gamma[0]
+    """The u-bounded weighted count of length k*n (mod *modulus* when
+    given): component 0 of gamma_n in `_orbit`."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    return next(islice(_orbit(k, u, w, modulus), n, None))[0]
 
 
 def bounded_catalan(k: int, u: int, n: int) -> int:

@@ -131,17 +131,24 @@ def fetch_bfile(
         raise SequenceUnavailableError(
             f"{id}: no cached or bundled copy, and offline mode is on"
         )
-    import requests
+    # Imported here, not at module level: urllib.request loads ssl, which
+    # would add tens of milliseconds and several MB to every CLI start.
+    from urllib.error import HTTPError
+    from urllib.request import urlopen
 
     url = OEIS_URL_TEMPLATE.format(id=id, digits=id[1:])
     try:
-        response = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        with urlopen(url, timeout=timeout) as response:
+            status = response.status
+            text = response.read().decode()
+    except HTTPError as exc:
+        raise FetchError(f"{id}: HTTP {exc.code} from {url}") from exc
+    except OSError as exc:  # URLError, refused connections and timeouts
         raise SequenceUnavailableError(f"{id}: network fetch failed: {exc}") from exc
-    if response.status_code != 200:
-        raise FetchError(f"{id}: HTTP {response.status_code} from {url}")
-    record = parse_bfile(response.text, id)
-    _atomic_write(cache_path, response.text)
+    if status != 200:
+        raise FetchError(f"{id}: HTTP {status} from {url}")
+    record = parse_bfile(text, id)
+    _atomic_write(cache_path, text)
     return record
 
 

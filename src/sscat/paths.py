@@ -236,6 +236,8 @@ def enumerate_paths(
     """
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     for steps, _ in ballot_walks(k, (0,) * k, (n,) * k, k * n, height_bound):
         yield BallotPath(k, steps)
 

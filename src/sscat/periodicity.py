@@ -1,22 +1,22 @@
 """Eventual periodicity of weighted counts modulo m.
 
-The bounded sequence is computed by iterating the transfer matrix over
-residues, so the vector of boundary-state values must eventually cycle by
-pigeonhole; cycle detection on the vector orbit yields a preperiod t and
-period omega that the scalar sequence inherits.  For the unbounded
-sequence, two divisibility certificates on the weight assignment justify
-truncating at a finite height bound, after which the bounded machinery
-applies; without one, the lattice DP mod m gives the term directly.
+The bounded sequence is read off the transfer-matrix orbit over residues
+(`counting._orbit`), so the vector of boundary-state values must eventually
+cycle by pigeonhole; the first repeated vector gives a preperiod t and
+period omega that the scalar sequence inherits, and the scalar sequence's
+minimal period divides omega.  For the unbounded sequence, two
+divisibility certificates on the weight assignment justify truncating at a
+finite height bound, after which the bounded machinery applies; without
+one, the lattice DP mod m gives the term directly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Optional
 
-from .counting import _transfer_matrix, bounded_sswcn_dp, sswcn_lattice_value
+from .counting import _orbit, bounded_sswcn_dp, sswcn_lattice_value
 from .weights import WeightAssignment
 
 DEFAULT_SEARCH_HORIZON = 64
@@ -28,8 +28,9 @@ class PeriodReport:
 
     `preperiod` and `vector_period` are the minimal (t, omega) of the
     boundary-vector orbit; `scalar_period` is the possibly smaller minimal
-    period of the scalar sequence itself, found among divisors of omega on
-    the verified horizon.
+    period of the scalar sequence from t on, a divisor of omega.  The orbit
+    repeat proves both periods for every n >= t; `verified_horizon`,
+    t + 4 * omega, is reported for readers that check a finite prefix.
     """
 
     preperiod: int
@@ -49,9 +50,6 @@ class PeriodReport:
             "certificate": self.certificate,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def _divisors(n: int) -> list[int]:
     return sorted(d for d in range(1, n + 1) if n % d == 0)
@@ -63,62 +61,38 @@ def detect_eventual_period(
     """Find the eventual period of the u-bounded weighted count mod m.
 
     Iterates the boundary vector until a full vector state repeats (bound
-    m**l + 1 steps for l states), giving the minimal preperiod/period of
-    the orbit, then re-verifies the scalar sequence over three extra
-    periods and minimizes its period over divisors of the vector period.
+    m**l + 1 steps for l states), giving the minimal preperiod t and period
+    omega of the orbit.  gamma_{t+omega} = gamma_t makes the scalar sequence
+    periodic with period omega from t on, so its minimal period is the
+    least divisor d of omega under which the omega terms from t on are
+    invariant by a cyclic shift.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    matrix = _transfer_matrix(k, u).evaluated(w, m)
-    size = len(matrix)
-    gamma = tuple([1] + [0] * (size - 1))
     seen: dict[tuple[int, ...], int] = {}
     sequence: list[int] = []
-    index = 0
-    while gamma not in seen:
+    for index, gamma in enumerate(_orbit(k, u, w, m)):
+        if gamma in seen:
+            break
         seen[gamma] = index
         sequence.append(gamma[0])
-        gamma = tuple(
-            sum(matrix[i][j] * gamma[j] for j in range(size)) % m for i in range(size)
-        )
-        index += 1
     t = seen[gamma]
     omega = index - t
-    # Free the orbit (the bulk of the memory) before the sequence grows to
-    # about 4 * omega terms, so the two never peak together.
-    del seen
-
-    # Extend the scalar sequence far enough to re-verify three extra periods.
-    horizon = t + 4 * omega
-    while len(sequence) <= horizon:
-        sequence.append(sequence[t + (len(sequence) - t) % omega])
-    for n in range(t, horizon - omega + 1):
-        assert sequence[n] == sequence[n + omega]
-
-    scalar = omega
-    for d in _divisors(omega):
+    scalar = next(
+        d
+        for d in _divisors(omega)
         if all(
-            sequence[n] == sequence[n + d] for n in range(t, horizon - d + 1)
-        ):
-            scalar = d
-            break
-    return PeriodReport(t, omega, scalar, m, horizon)
+            sequence[t + i] == sequence[t + (i + d) % omega] for i in range(omega)
+        )
+    )
+    return PeriodReport(t, omega, scalar, m, t + 4 * omega)
 
 
 def bounded_sequence_mod(
     k: int, u: int, count: int, w: WeightAssignment = WeightAssignment(), m: int = 2
 ) -> list[int]:
     """First *count* terms of the u-bounded weighted count mod m."""
-    matrix = _transfer_matrix(k, u).evaluated(w, m)
-    size = len(matrix)
-    gamma = [1] + [0] * (size - 1)
-    out = []
-    for _ in range(count):
-        out.append(gamma[0])
-        gamma = [
-            sum(matrix[i][j] * gamma[j] for j in range(size)) % m for i in range(size)
-        ]
-    return out
+    return [gamma[0] for gamma in islice(_orbit(k, u, w, m), count)]
 
 
 def _scan(horizon: int, window: Callable[[int], bool], start: int) -> Optional[int]:

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from sscat import WeightAssignment, bounded_sswcn_dp
+from sscat import FormulaViolationError, WeightAssignment, bounded_sswcn_dp, cli
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
 
@@ -126,10 +126,31 @@ def test_invalid_arguments_exit_2(capsys):
     for argv in (("bounded", "3", "-1", "2"), ("period", "3", "-1", "--mod", "5")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "height bound" in err
+    for argv in (
+        ("bounded", "3", "4", "-3"),
+        ("bounded", "3", "4", "2", "--mod", "0"),
+        ("bounded", "3", "4", "2", "--mod", "-5"),
+        ("enumerate", "3", "-1"),
+        ("triangle", "height", "3", "--rows", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error: ")
     # a bound below the minimum attainable height is not an error: there
     # are simply no paths
     code, out, _ = run(capsys, "bounded", "3", "1", "2")
     assert code == 0 and out.strip() == "0"
+
+
+def test_formula_violation_exits_1_with_details(capsys, monkeypatch):
+    def fail(*args):
+        raise FormulaViolationError("broken", expected=5, actual=6, witness=(3, 2))
+
+    monkeypatch.setattr(cli.triangles, "run_verifiers", fail)
+    monkeypatch.setattr(cli, "catalan_number", fail)
+    for argv in (("verify", "all"), ("count", "3", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == "FAIL: broken (expected 5, got 6, witness (3, 2))\n"
 
 
 @contextmanager

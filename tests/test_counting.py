@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,6 +32,37 @@ def test_catalan_number_values():
         catalan_number(0, 1)
     with pytest.raises(ValueError):
         catalan_number(2, -1)
+
+
+def test_catalan_number_matches_three_oracles():
+    for n in range(40):
+        assert catalan_number(2, n) == math.comb(2 * n, n) // (n + 1)
+    n = 3100
+    three = 2 * math.factorial(3 * n) // (
+        math.factorial(n) * math.factorial(n + 1) * math.factorial(n + 2)
+    )
+    assert catalan_number(3, n) == three
+    # the product formula 0!1!...(n-1)! (kn)! / (k!(k+1)!...(k+n-1)!)
+    for k in range(1, 7):
+        for n in range(13):
+            num = math.prod(math.factorial(i) for i in range(n))
+            den = math.prod(math.factorial(k + i) for i in range(n))
+            assert catalan_number(k, n) == num * math.factorial(k * n) // den
+
+
+def test_bounded_dp_matches_dense_iteration():
+    rng = random.Random(5)
+    for _ in range(30):
+        k, u = rng.choice(((2, 3), (3, 4), (3, 7), (4, 6), (4, 9), (5, 8)))
+        w = random_assignment(rng)
+        modulus = rng.choice((None, 1, 2, 7, 30))
+        n = rng.randrange(12)
+        matrix = build_transfer_matrix(build_state_space(k, u)).evaluated(w)
+        gamma = [1] + [0] * (len(matrix) - 1)
+        for _ in range(n):
+            gamma = [sum(a * g for a, g in zip(row, gamma)) for row in matrix]
+        expected = gamma[0] if modulus is None else gamma[0] % modulus
+        assert bounded_sswcn_dp(k, u, n, w, modulus) == expected
 
 
 def test_sswcn_brute_golden():

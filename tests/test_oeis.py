@@ -1,8 +1,12 @@
+import io
+from urllib.error import HTTPError, URLError
+
 import pytest
 
 from sscat import (
     BFileGapError,
     BFileParseError,
+    FetchError,
     NoOverlapError,
     SequenceRecord,
     SequenceUnavailableError,
@@ -87,3 +91,46 @@ def test_catalan_fixture_prefixes():
     c3 = fetch_bfile("A001246", offline=True)
     for n in range(6):
         assert catalan_number(2, n) ** 2 == c3.value_at(n)
+
+
+class _Reply(io.BytesIO):
+    status = 200
+
+
+def _serve(monkeypatch, reply):
+    """Route `fetch_bfile`'s network call to *reply* (bytes or an exception)."""
+    urls = []
+
+    def fake_urlopen(url, timeout):
+        urls.append((url, timeout))
+        if isinstance(reply, Exception):
+            raise reply
+        return _Reply(reply)
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    return urls
+
+
+def test_fetch_over_network_parses_and_caches(tmp_path, monkeypatch):
+    urls = _serve(monkeypatch, b"# A999999\n0 3\n1 5\n")
+    record = fetch_bfile("A999999", cache_dir=str(tmp_path), timeout=7.0)
+    assert urls == [("https://oeis.org/A999999/b999999.txt", 7.0)]
+    assert record.values == (3, 5)
+    assert (tmp_path / "b999999.txt").read_text() == "# A999999\n0 3\n1 5\n"
+    # the cached copy now answers without the network
+    _serve(monkeypatch, URLError("unreachable"))
+    assert fetch_bfile("A999999", cache_dir=str(tmp_path)) == record
+
+
+def test_fetch_http_error_status(tmp_path, monkeypatch):
+    url = "https://oeis.org/A999999/b999999.txt"
+    _serve(monkeypatch, HTTPError(url, 404, "Not Found", {}, None))
+    with pytest.raises(FetchError, match="HTTP 404"):
+        fetch_bfile("A999999", cache_dir=str(tmp_path))
+    assert not (tmp_path / "b999999.txt").exists()
+
+
+def test_fetch_unreachable(tmp_path, monkeypatch):
+    _serve(monkeypatch, URLError("name resolution failed"))
+    with pytest.raises(SequenceUnavailableError):
+        fetch_bfile("A999999", cache_dir=str(tmp_path))

@@ -46,6 +46,31 @@ def test_detect_3_4_mod_5_matches_recurrence_oracle():
         assert oracle[n] == oracle[n + omega]
 
 
+def test_scalar_period_is_minimal_on_the_horizon():
+    # s from the recurrences of acceptance criterion 7, independent of the
+    # transfer matrix: a(n) = 4a(n-1) + a(n-2) for (3, 4), 2^(n-1) for (4, 6)
+    for k, u in ((3, 4), (4, 6)):
+        for m in range(2, 13):
+            report = detect_eventual_period(k, u, m=m)
+            t, omega = report.preperiod, report.vector_period
+            horizon = t + 4 * omega
+            assert report.verified_horizon == horizon
+            if (k, u) == (3, 4):
+                s = [1, 1]
+                while len(s) <= horizon:
+                    s.append((4 * s[-1] + s[-2]) % m)
+            else:
+                s = [1] + [pow(2, n - 1, m) for n in range(1, horizon + 1)]
+            minimal = next(
+                d
+                for d in range(1, omega + 1)
+                if all(s[n] == s[n + d] for n in range(t, horizon - d + 1))
+            )
+            assert report.scalar_period == minimal
+    report = detect_eventual_period(3, 4, m=4)
+    assert (report.vector_period, report.scalar_period) == (2, 1)
+
+
 def test_detect_report_json():
     report = detect_eventual_period(3, 4, m=2)
     data = report.to_json()
