@@ -55,28 +55,30 @@ def _parse_weight_sequence(text: Optional[str]) -> tuple[tuple[int, ...], int]:
         return (), 1
     prefix = []
     fill = 1
-    for i, part in enumerate(text.split(",")):
+    parts = text.split(",")
+    for i, part in enumerate(parts):
         part = part.strip()
-        if part.startswith("fill="):
-            if i != text.count(",") or not part[5:].lstrip("+-").isdigit():
-                raise argparse.ArgumentTypeError(
-                    f"'fill=<int>' must be the final element, got {text!r}"
-                )
-            fill = int(part[5:])
+        is_fill = part.startswith("fill=")
+        if is_fill and i != len(parts) - 1:
+            raise argparse.ArgumentTypeError(
+                f"'fill=<int>' must be the final element, got {text!r}"
+            )
+        try:
+            value = int(part[5:] if is_fill else part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"weight sequence elements must be integers, got {part!r}"
+            ) from None
+        if is_fill:
+            fill = value
         else:
-            try:
-                prefix.append(int(part))
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"weight sequence elements must be integers, got {part!r}"
-                ) from None
+            prefix.append(value)
     return tuple(prefix), fill
 
 
 def _weights(args) -> WeightAssignment:
-    b_prefix, b_fill = _parse_weight_sequence(getattr(args, "b", None))
-    c_prefix, c_fill = _parse_weight_sequence(getattr(args, "c", None))
-    return WeightAssignment(b_prefix, b_fill, c_prefix, c_fill)
+    """The weights parsed from --b and --c, each a (prefix, fill) pair."""
+    return WeightAssignment(*args.b, *args.c)
 
 
 def _parse_tableau(text: str) -> Tableau:
@@ -287,6 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="plain")
         return p
 
+    def add_weights(p):
+        # argparse also parses the string default, so an absent option
+        # reads as ((), 1), and a malformed one is a usage error (exit 2).
+        for name, example in (("--b", "1,0,2,fill=0"), ("--c", "1,1,fill=1")):
+            p.add_argument(
+                name,
+                type=_parse_weight_sequence,
+                default="",
+                help=f"{name[2:]} weights, e.g. {example}",
+            )
+
     p = add("enumerate", _cmd_enumerate, "list balanced ballot paths")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
@@ -300,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("u", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--b", help="b weights, e.g. 1,0,2,fill=0")
-    p.add_argument("--c", help="c weights, e.g. 1,1,fill=1")
+    add_weights(p)
     p.add_argument("--mod", type=int, default=None)
 
     p = add("sswcn", _cmd_sswcn, "unbounded weighted count (lattice DP)")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--symbolic", action="store_true", help="print the polynomial")
-    p.add_argument("--b")
-    p.add_argument("--c")
+    add_weights(p)
 
     p = add("triangle", _cmd_triangle, "height or Narayana triangle rows")
     p.add_argument("kind", choices=("height", "narayana"))
@@ -320,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("u", type=int)
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--b")
-    p.add_argument("--c")
+    add_weights(p)
 
     p = add("verify", _cmd_verify, "run closed-formula verifiers")
     p.add_argument(

@@ -4,8 +4,9 @@ brute force.
 The routes validate each other: `catalan_number` is the hook-length
 formula, the `sswcn_lattice*` functions run the layered DP over the ballot
 points of the box, `bounded_sswcn_dp` iterates the boundary-state transfer
-matrix (through `_orbit`, shared with the periodicity module), and the
-`*_brute` functions, the test oracle, sum weights over explicitly
+matrix (through `_orbit`, shared with the periodicity module), whose
+entries the same layered DP sums over the k-step blocks from each state,
+and the `*_brute` functions, the test oracle, sum weights over explicitly
 enumerated paths.  Wherever their domains overlap they must agree exactly.
 """
 
@@ -19,13 +20,12 @@ from typing import Iterator, Optional
 
 from .errors import FormulaViolationError, InvalidStateError, TooLargeError
 from .paths import (
-    BallotPath,
     Point,
-    ballot_walks,
     enumerate_paths,
     enumerate_sub_paths,
     is_ballot_point,
     lattice_sum,
+    lattice_walk,
 )
 from .weights import (
     ALL_ONES,
@@ -128,14 +128,29 @@ def _bump(pairs: tuple[tuple[int, int], ...], index: int) -> tuple[tuple[int, in
     return pairs + ((index, 1),)
 
 
+def _weight_step(k: int):
+    """The lattice-DP step of the symbolic weight: an up-step multiplies each
+    monomial at its start by B(height of the start), any other step by
+    C(height of the end); monomials are (b, c) sorted exponent tuples."""
+    up = k // 2
+
+    def step(vector, d, g, g2):
+        if d <= up:
+            return (((_bump(b, g), c), coeff) for (b, c), coeff in vector.items())
+        return (((b, _bump(c, g2)), coeff) for (b, c), coeff in vector.items())
+
+    return step
+
+
+def _polynomial(sums: dict) -> WeightPolynomial:
+    """Lattice-DP sums {(b, c) exponent tuples: coefficient} as a polynomial."""
+    return WeightPolynomial({WeightMonomial(b, c): v for (b, c), v in sums.items()})
+
+
 def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of length
     k*n, restricted to height <= u when *u* is given, as a symbolic
-    polynomial.
-
-    An up-step multiplies every monomial at its start by B(height of the
-    start), any other step by C(height of the end); monomials are kept as
-    sorted exponent tuples and raised one exponent at a time.
+    polynomial, by the layered DP with `_weight_step`.
 
     Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`.
     Each path gives one monomial, so the path count bounds the terms; the
@@ -147,17 +162,7 @@ def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     where the sum has a single term."""
     if u is None:
         _check_cap(k, n, DEFAULT_PATH_CAP)
-    up = k // 2
-
-    def step(vector, d, g, g2):
-        if d <= up:
-            return (((_bump(b, g), c), coeff) for (b, c), coeff in vector.items())
-        return (((b, _bump(c, g2)), coeff) for (b, c), coeff in vector.items())
-
-    sums = lattice_sum(k, n, ((), ()), step, height_bound=u)
-    return WeightPolynomial(
-        {WeightMonomial(b, c): coeff for (b, c), coeff in sums.items()}
-    )
+    return _polynomial(lattice_sum(k, n, ((), ()), _weight_step(k), height_bound=u))
 
 
 def sswcn_lattice_value(
@@ -179,20 +184,20 @@ def sswcn_lattice_value(
 # Transfer-matrix DP over normalized boundary states.
 
 
-def _block_transitions(
-    k: int, u: int, a: Point
-) -> Iterator[tuple[tuple[int, ...], Point]]:
-    """All k-step sub-ballot continuations from *a* with height <= u,
-    yielded as (steps, endpoint) in depth-first order."""
-    # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    return ballot_walks(k, a, tuple(c + k for c in a), k, height_bound=u)
-
-
 def _normalize(p: Point) -> Point:
     """Subtract x_k * (1,...,1); height-preserving since the g coefficients
     sum to zero."""
     shift = p[-1]
     return tuple(c - shift for c in p)
+
+
+def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
+    """The k-step sub-ballot blocks from *a* with height <= u, summed by the
+    layered DP: {normalized endpoint: {(b, c) exponent tuples: coefficient}}.
+    Distinct endpoints of k steps from *a* never normalize alike."""
+    # k steps never reach the corner a + (k, ..., k), so the box never binds.
+    walk = lattice_walk(k, a, tuple(c + k for c in a), k, ((), ()), _weight_step(k), u)
+    return {_normalize(y): vector for y, vector in walk.items()}
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,7 @@ def build_state_space(k: int, u: int) -> StateSpace:
     while frontier:
         discovered = set()
         for state in frontier:
-            for _, endpoint in _block_transitions(k, u, state):
-                w = _normalize(endpoint)
+            for w in _blocks(k, u, state):
                 if w not in seen:
                     discovered.add(w)
         frontier = sorted(discovered)
@@ -247,8 +251,8 @@ def build_state_space(k: int, u: int) -> StateSpace:
 class TransferMatrix:
     """Symbolic k-step transition matrix over the state space.
 
-    Entry (i, j) sums sswt over the k-step sub-ballot paths from state i to
-    any endpoint normalizing to state j, all within the height bound."""
+    Entry (i, j) sums the semisymmetric weight over the height-bounded
+    k-step blocks from state i whose endpoint normalizes to state j."""
 
     space: StateSpace
     entries: tuple[tuple[WeightPolynomial, ...], ...]
@@ -268,10 +272,8 @@ def _transfer_matrix(k: int, u: int) -> TransferMatrix:
     index = {s: i for i, s in enumerate(space.states)}
     rows = [[WeightPolynomial() for _ in range(size)] for _ in range(size)]
     for i, state in enumerate(space.states):
-        for steps, endpoint in _block_transitions(k, u, state):
-            j = index[_normalize(endpoint)]
-            mono = sswt(BallotPath(k, steps, origin=state))
-            rows[i][j].add_monomial(mono)
+        for w, sums in _blocks(k, u, state).items():
+            rows[i][index[w]] = _polynomial(sums)
     return TransferMatrix(space, tuple(tuple(row) for row in rows))
 
 

@@ -1,6 +1,8 @@
 """Points, step taxonomy, the ballot-successor rule, and the two walks
-built on it: pruned depth-first enumeration of ballot paths, and the
-layered lattice DP that sums over them without enumerating.
+built on it: pruned depth-first enumeration of ballot paths, for `sscat
+enumerate` and the brute-force oracles, and one layered lattice DP that
+sums over walks without enumerating them, for the box [0, n]^k and for
+the k-step blocks of the transfer matrix.
 
 A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
@@ -26,6 +28,7 @@ from .errors import (
 )
 
 Point = tuple[int, ...]
+Step = Callable[[dict, int, int, int], Iterable[tuple[Hashable, int]]]
 
 
 @lru_cache(maxsize=None)
@@ -141,21 +144,18 @@ def ballot_successors(x: Sequence[int], top: Point) -> list[int]:
 
 
 def ballot_walks(
-    k: int,
-    start: Point,
-    top: Point,
-    length: int,
-    height_bound: Optional[int] = None,
-) -> Iterator[tuple[tuple[int, ...], Point]]:
-    """Depth-first walks of *length* successor steps from *start*, trying
-    directions 1..k at each step; yields (steps, endpoint).
+    k: int, start: Point, top: Point, height_bound: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Depth-first walks of successor steps from *start* to *top*, trying
+    directions 1..k at each step; yields each walk's steps.
 
     Prunes any branch whose semisymmetric height exceeds *height_bound*.
     """
     coeffs = height_coefficients(k)
     g0 = sum(c * v for c, v in zip(coeffs, start))
-    if length < 0 or (height_bound is not None and g0 > height_bound):
+    if height_bound is not None and g0 > height_bound:
         return
+    length = sum(top) - sum(start)
     x = list(start)
     steps: list[int] = []
     # Moves still to try, the next one last, as (direction, height after
@@ -172,7 +172,7 @@ def ballot_walks(
             steps.append(d)
             todo.append((-d, g))
         if len(steps) == length:
-            yield tuple(steps), tuple(x)
+            yield tuple(steps)
             continue
         for e in reversed(ballot_successors(x, top)):
             g2 = g + coeffs[e - 1]
@@ -180,32 +180,31 @@ def ballot_walks(
                 todo.append((e, g2))
 
 
-def lattice_sum(
+def lattice_walk(
     k: int,
-    n: int,
+    start: Point,
+    top: Point,
+    length: int,
     seed: Hashable,
-    step: Callable[[dict, int, int, int], Iterable[tuple[Hashable, int]]],
+    step: Step,
     height_bound: Optional[int] = None,
-) -> dict:
-    """Layered DP over the ballot points of the box [0, n]^k, from the origin
-    to its top corner (n, ..., n).
+) -> dict[Point, dict]:
+    """Layered DP over the ballot points of the box from *start* to *top*,
+    *length* steps deep; returns {endpoint: vector}.
 
     Every point carries a sparse vector {tag: coefficient}, starting from
-    {seed: 1} at the origin.  Moving a vector along a step in direction d
+    {seed: 1} at *start*.  Moving a vector along a step in direction d
     from a point of height g to one of height g2 is ``step(vector, d, g,
     g2)``, which yields (tag, coefficient) pairs; pairs reaching the same
-    point are summed.  Steps above *height_bound* are pruned.  Since a
-    step's effect depends only on its end points, the vector at the top sums
-    the effect of every balanced walk without visiting any walk.
-    """
+    point are summed.  Steps (and a start) above *height_bound* are pruned.
+    Since a step's effect depends only on its end points, each endpoint's
+    vector sums the effect of every walk reaching it, visiting none."""
     coeffs = height_coefficients(k)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    top = (n,) * k
-    if height_bound is not None and height_bound < 0:
+    g0 = sum(c * v for c, v in zip(coeffs, start))
+    if height_bound is not None and g0 > height_bound:
         return {}
-    layer: dict[Point, tuple[int, dict]] = {(0,) * k: (0, {seed: 1})}
-    for _ in range(k * n):
+    layer: dict[Point, tuple[int, dict]] = {start: (g0, {seed: 1})}
+    for _ in range(length):
         following: dict[Point, tuple[int, dict]] = {}
         for x, (g, vector) in layer.items():
             for d in ballot_successors(x, top):
@@ -213,15 +212,23 @@ def lattice_sum(
                 if height_bound is not None and g2 > height_bound:
                     continue
                 y = x[: d - 1] + (x[d - 1] + 1,) + x[d:]
-                if y in following:
-                    target = following[y][1]
-                else:
-                    target = {}
-                    following[y] = (g2, target)
+                target = following.setdefault(y, (g2, {}))[1]
                 for tag, coeff in step(vector, d, g, g2):
                     target[tag] = target.get(tag, 0) + coeff
         layer = following
-    return layer[top][1] if top in layer else {}
+    return {x: vector for x, (_, vector) in layer.items()}
+
+
+def lattice_sum(
+    k: int, n: int, seed: Hashable, step: Step, height_bound: Optional[int] = None
+) -> dict:
+    """`lattice_walk` through the box [0, n]^k from the origin to its top
+    corner (n, ..., n): the vector summing every balanced walk of length
+    k*n, or {} when none stays within *height_bound*."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    top = (n,) * k
+    return lattice_walk(k, (0,) * k, top, k * n, seed, step, height_bound).get(top, {})
 
 
 def enumerate_paths(
@@ -238,7 +245,9 @@ def enumerate_paths(
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    for steps, _ in ballot_walks(k, (0,) * k, (n,) * k, k * n, height_bound):
+    if height_bound is not None and height_bound < 0:
+        raise ValueError(f"height bound must be >= 0, got {height_bound}")
+    for steps in ballot_walks(k, (0,) * k, (n,) * k, height_bound):
         yield BallotPath(k, steps)
 
 
@@ -259,8 +268,7 @@ def enumerate_sub_paths(
         raise InvalidEndpointError(f"endpoints {start}, {end} must be ballot points")
     if any(a > b for a, b in zip(start, end)):
         raise InvalidEndpointError(f"start {start} must not exceed end {end}")
-    length = sum(end) - sum(start)
-    for steps, _ in ballot_walks(k, start, end, length, height_bound):
+    for steps in ballot_walks(k, start, end, height_bound):
         yield BallotPath(k, steps, origin=start)
 
 

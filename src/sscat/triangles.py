@@ -369,6 +369,8 @@ def verify_narayana_one_peak(k: int, n: int) -> VerificationRecord:
 def scan_power_of_two(k_max: int, u_max: int, n_max: int = 6) -> list[tuple[int, int]]:
     """Small-(k, u) scan for bounds where the bounded count looks like
     2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     hits = []
     for k in range(2, k_max + 1):
         for u in range(min_path_height(k), u_max + 1):

@@ -1,8 +1,11 @@
+import io
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscat import FormulaViolationError, WeightAssignment, bounded_sswcn_dp, cli
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
@@ -25,6 +28,33 @@ def test_parse_weight_sequence():
         _parse_weight_sequence("fill=2,1")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_weight_sequence("1,x")
+    with pytest.raises(argparse.ArgumentTypeError):
+        _parse_weight_sequence("fill=x")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("bounded", "3", "4", "2", "--b", "1,x"),
+            "argument --b: weight sequence elements must be integers, got 'x'",
+        ),
+        (
+            ("period", "3", "4", "--mod", "5", "--c", "fill=x"),
+            "argument --c: weight sequence elements must be integers, got 'fill=x'",
+        ),
+        (
+            ("sswcn", "3", "2", "--b", "1,,2"),
+            "argument --b: weight sequence elements must be integers, got ''",
+        ),
+    ],
+)
+def test_malformed_weights_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert raised.value.code == 2 and not captured.out
+    assert message in captured.err
 
 
 def test_count(capsys):
@@ -123,15 +153,21 @@ def test_invalid_arguments_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "bounded", "1", "4", "2")
     assert code == 2
-    for argv in (("bounded", "3", "-1", "2"), ("period", "3", "-1", "--mod", "5")):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "height bound" in err
+    for argv in (
+        ("bounded", "3", "-1", "2"),
+        ("period", "3", "-1", "--mod", "5"),
+        ("enumerate", "3", "2", "--bound", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "height bound must be >= 0" in err
     for argv in (
         ("bounded", "3", "4", "-3"),
         ("bounded", "3", "4", "2", "--mod", "0"),
         ("bounded", "3", "4", "2", "--mod", "-5"),
         ("enumerate", "3", "-1"),
         ("triangle", "height", "3", "--rows", "-1"),
+        ("scan-pow2", "--k-max", "3", "--u-max", "3", "--n-max", "0"),
+        ("scan-pow2", "--n-max", "-1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("error: ")
@@ -185,3 +221,83 @@ def test_answers_beyond_the_int_digit_limit(capsys):
         assert outputs["plain"] == f"{value}\n"
         assert json.loads(outputs["json"])["value"] == str(value)
         assert outputs["csv"] == f"k,u,n,value\n3,4,700,{value}\n"
+
+
+# The exit-code contract, driven with argv drawn from a small grammar:
+# every command ends with exit 0, or with exit 2, nothing on stdout and an
+# error on stderr.  Sizes stay small enough for 300 runs in about 2 s.
+SMALL_INT = st.integers(-2, 5).map(str)
+TINY_INT = st.integers(-2, 3).map(str)
+TINY_K = st.integers(-2, 4).map(str)
+MODULUS = st.integers(-2, 12).map(str)
+WEIGHTS = st.lists(
+    st.sampled_from(("1", "-2", "0", "x", "", "fill=2", "fill=x")),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+def _maybe(*parts):
+    """Either nothing, or the argv fragment drawn from *parts*."""
+    return st.one_of(st.just(()), st.tuples(*parts))
+
+
+def _command(name, *parts):
+    """The argv `name` followed by one fragment from each of *parts*."""
+    return st.tuples(st.just((name,)), *parts).map(lambda groups: sum(groups, ()))
+
+
+WEIGHTS_AND_FORMAT = st.tuples(
+    _maybe(WEIGHTS.map("--b={}".format)),
+    _maybe(WEIGHTS.map("--c={}".format)),
+    _maybe(st.just("--format"), st.sampled_from(cli.FORMATS)),
+).map(lambda groups: sum(groups, ()))
+
+
+ARGV = st.one_of(
+    _command("count", st.tuples(SMALL_INT, SMALL_INT)),
+    _command(
+        "bounded",
+        st.tuples(SMALL_INT, SMALL_INT, SMALL_INT),
+        _maybe(st.just("--mod"), MODULUS),
+        WEIGHTS_AND_FORMAT,
+    ),
+    _command(
+        "period",
+        st.tuples(SMALL_INT, SMALL_INT, st.just("--mod"), MODULUS),
+        WEIGHTS_AND_FORMAT,
+    ),
+    _command(
+        "sswcn",
+        st.tuples(TINY_K, TINY_INT),
+        _maybe(st.just("--symbolic")),
+        WEIGHTS_AND_FORMAT,
+    ),
+    _command(
+        "enumerate", st.tuples(TINY_K, TINY_INT), _maybe(st.just("--bound"), SMALL_INT)
+    ),
+    _command(
+        "triangle",
+        st.tuples(st.sampled_from(("height", "narayana")), TINY_K),
+        st.tuples(st.just("--rows"), TINY_INT),
+    ),
+    _command(
+        "scan-pow2",
+        st.tuples(st.just("--k-max"), SMALL_INT, st.just("--u-max"), SMALL_INT),
+        st.tuples(st.just("--n-max"), SMALL_INT),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ARGV)
+def test_every_command_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert not out.getvalue() and "error" in err.getvalue(), argv

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,9 +6,11 @@ import pytest
 
 from sscat import (
     ALL_ONES,
+    BallotPath,
     InvalidStateError,
     TooLargeError,
     WeightAssignment,
+    WeightPolynomial,
     bounded_catalan,
     bounded_sswcn_brute,
     bounded_sswcn_dp,
@@ -17,9 +20,12 @@ from sscat import (
     legacy_wcn_brute,
     max_path_height,
     min_path_height,
+    ss_height_path,
     sswcn_brute,
+    sswt,
     sub_sswcn_brute,
 )
+from sscat.errors import InvalidPathError
 from tests.conftest import random_assignment
 
 
@@ -103,6 +109,46 @@ def test_transfer_matrix_3_5_golden():
         ["C2^2*C0 + C4*C2*C0", "B2*C2^2 + 2*B2*C4*C2"],
     ]
     assert matrix.evaluated(ALL_ONES) == [[1, 2], [2, 3]]
+
+
+def block_oracle(k, u):
+    """States and entries rebuilt from explicit k-step blocks: a step
+    sequence in 1..k is a block from a state when it is a valid sub-ballot
+    path from there with height <= u; entry (i, j) sums the sswt of the
+    blocks from state i whose endpoint normalizes to state j.  The BFS
+    keeps the discovery order of `build_state_space`."""
+    zero = (0,) * k
+    states, frontier, rows = [zero], [zero], {}
+    while frontier:
+        discovered = set()
+        for state in frontier:
+            row = rows[state] = {}
+            for steps in itertools.product(range(1, k + 1), repeat=k):
+                try:
+                    path = BallotPath(k, steps, origin=state)
+                except InvalidPathError:
+                    continue
+                if ss_height_path(path) > u:
+                    continue
+                end = path.endpoint
+                target = tuple(c - end[-1] for c in end)
+                row.setdefault(target, WeightPolynomial()).add_monomial(sswt(path))
+                if target not in rows and target not in frontier:
+                    discovered.add(target)
+        frontier = sorted(discovered)
+        states.extend(frontier)
+    return tuple(states), [
+        [rows[a].get(b, WeightPolynomial()).text() for b in states] for a in states
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_transfer_matrix_matches_block_oracle(k):
+    for u in range(2 * min_path_height(k) + 3):
+        states, texts = block_oracle(k, u)
+        matrix = build_transfer_matrix(build_state_space(k, u))
+        assert matrix.space.states == states, u
+        assert [[entry.text() for entry in row] for row in matrix.entries] == texts, u
 
 
 def test_dp_equals_brute():
