@@ -199,48 +199,51 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _generate(spec: str, count: int) -> SequenceRecord:
-    """Generator specs: 'catalan:k', 'bounded:k,u', 'dprime-3-2n',
-    'rightmost:k'; produces terms for n = start..start+count-1."""
+# Generator name: (number of parameters, first index n, term(n, *params)).
+_GENERATORS = {
+    "catalan": (1, 0, lambda n, k: catalan_number(k, n)),
+    "bounded": (2, 0, lambda n, k, u: triangles.bounded_catalan(k, u, n)),
+    "dprime-3-2n": (
+        0,
+        1,
+        lambda n: triangles.height_triangle_row(3, n).entries[2 * n],
+    ),
+    "rightmost": (
+        1,
+        1,
+        lambda n, k: triangles.height_triangle_row(k, n).entries[
+            triangles.max_path_height(k, n)
+        ],
+    ),
+}
+_GENERATOR_USAGE = "use catalan:k, bounded:k,u, dprime-3-2n, or rightmost:k"
+
+
+def _generate(spec: str, count: int, reference: SequenceRecord) -> SequenceRecord:
+    """The terms of the generator *spec* for n = first..first+count-1,
+    computed only where *reference* holds a value to compare them with."""
     name, _, argtext = spec.partition(":")
-    params = [int(v) for v in argtext.split(",") if v.strip()]
-    if name == "catalan":
-        (k,) = params
-        return SequenceRecord(spec, 0, tuple(catalan_number(k, n) for n in range(count)))
-    if name == "bounded":
-        k, u = params
-        return SequenceRecord(
-            spec, 0, tuple(triangles.bounded_catalan(k, u, n) for n in range(count))
+    if name not in _GENERATORS:
+        raise SscatError(f"unknown generator {name!r}; {_GENERATOR_USAGE}")
+    arity, first, term = _GENERATORS[name]
+    try:
+        params = [int(v) for v in argtext.split(",") if v.strip()]
+    except ValueError:
+        params = None
+    if params is None or len(params) != arity:
+        raise SscatError(
+            f"generator {spec!r} takes {arity} integer parameter(s); {_GENERATOR_USAGE}"
         )
-    if name == "dprime-3-2n":
-        return SequenceRecord(
-            spec,
-            1,
-            tuple(
-                triangles.height_triangle_row(3, n).entries[2 * n]
-                for n in range(1, count + 1)
-            ),
-        )
-    if name == "rightmost":
-        (k,) = params
-        return SequenceRecord(
-            spec,
-            1,
-            tuple(
-                triangles.height_triangle_row(k, n).entries[
-                    triangles.max_path_height(k, n)
-                ]
-                for n in range(1, count + 1)
-            ),
-        )
-    raise SscatError(
-        f"unknown generator {name!r}; use catalan:k, bounded:k,u, dprime-3-2n, or rightmost:k"
+    start = max(first, reference.offset)
+    stop = min(first + count, reference.offset + len(reference.values))
+    return SequenceRecord(
+        spec, start, tuple(term(n, *params) for n in range(start, stop))
     )
 
 
 def _cmd_oeis_check(args) -> int:
     reference = fetch_bfile(args.id, cache_dir=args.cache_dir, offline=args.offline)
-    computed = _generate(args.generator, args.terms)
+    computed = _generate(args.generator, args.terms, reference)
     report = compare_sequences(computed, reference)
     verdict = "match" if report.match else f"MISMATCH at index {report.first_mismatch}"
     _emit(

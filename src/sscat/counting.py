@@ -4,9 +4,9 @@ brute force.
 The routes validate each other: `catalan_number` is the hook-length
 formula, the `sswcn_lattice*` functions run the layered DP over the ballot
 points of the box, `bounded_sswcn_dp` iterates the boundary-state transfer
-matrix (through `_orbit`, shared with the periodicity module), whose
-entries the same layered DP sums over the k-step blocks from each state,
-and the `*_brute` functions, the test oracle, sum weights over explicitly
+matrix (through `_orbit`; the periodicity module shares its sparse rows
+and matrix-vector step), whose entries the same layered DP sums over the
+k-step blocks from each state, and the `*_brute` functions, the test oracle, sum weights over explicitly
 enumerated paths.  Wherever their domains overlap they must agree exactly.
 """
 
@@ -260,8 +260,11 @@ class TransferMatrix:
     def evaluated(
         self, w: WeightAssignment, modulus: Optional[int] = None
     ) -> list[list[int]]:
+        """Every entry evaluated at *w* (mod *modulus* when given), as a
+        dense list of rows; zero polynomials give 0 without evaluation."""
         return [
-            [poly.evaluate(w, modulus) for poly in row] for row in self.entries
+            [poly.evaluate(w, modulus) if poly.terms else 0 for poly in row]
+            for row in self.entries
         ]
 
 
@@ -281,6 +284,28 @@ def build_transfer_matrix(space: StateSpace) -> TransferMatrix:
     return _transfer_matrix(space.k, space.u)
 
 
+def _sparse_rows(
+    k: int, u: int, w: WeightAssignment, modulus: Optional[int]
+) -> list[list[tuple[int, int]]]:
+    """The u-bounded transfer matrix T evaluated at *w* (mod *modulus* when
+    given), each row as its nonzero (column, value) pairs."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    return [
+        [(j, value) for j, value in enumerate(row) if value]
+        for row in _transfer_matrix(k, u).evaluated(w, modulus)
+    ]
+
+
+def _apply(
+    rows: list[list[tuple[int, int]]], vector: tuple[int, ...], modulus: Optional[int]
+) -> tuple[int, ...]:
+    """The matrix with sparse *rows* times *vector*, reduced mod *modulus*
+    when given."""
+    sums = [sum([v * vector[j] for j, v in row]) for row in rows]
+    return tuple(sums if modulus is None else [x % modulus for x in sums])
+
+
 def _orbit(
     k: int, u: int, w: WeightAssignment, modulus: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -290,17 +315,11 @@ def _orbit(
     u-bounded weighted count of length k*n.
 
     T is evaluated once, and each row keeps only its nonzero entries."""
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    rows = [
-        [(j, value) for j, value in enumerate(row) if value]
-        for row in _transfer_matrix(k, u).evaluated(w, modulus)
-    ]
+    rows = _sparse_rows(k, u, w, modulus)
     gamma = (1 if modulus is None else 1 % modulus,) + (0,) * (len(rows) - 1)
     while True:
         yield gamma
-        sums = [sum([v * gamma[j] for j, v in row]) for row in rows]
-        gamma = tuple(sums if modulus is None else [x % modulus for x in sums])
+        gamma = _apply(rows, gamma, modulus)
 
 
 def bounded_sswcn_dp(

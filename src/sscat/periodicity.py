@@ -1,10 +1,13 @@
 """Eventual periodicity of weighted counts modulo m.
 
-The bounded sequence is read off the transfer-matrix orbit over residues
-(`counting._orbit`), so the vector of boundary-state values must eventually
-cycle by pigeonhole; the first repeated vector gives a preperiod t and
-period omega that the scalar sequence inherits, and the scalar sequence's
-minimal period divides omega.  For the unbounded sequence, two
+The bounded sequence is read off the transfer-matrix orbit over residues,
+gamma_n = T^n e_0 mod m, so the vector of boundary-state values must
+eventually cycle by pigeonhole; the cycle gives a preperiod t and period
+omega that the scalar sequence inherits, and the scalar sequence's minimal
+period divides omega.  The orbit is linear, so `detect_eventual_period`
+finds (t, omega) in O(sqrt(omega)) matrix-vector steps with bounded memory
+(Fitting's lemma, then baby-step giant-step) instead of walking the whole
+cycle.  For the unbounded sequence, two
 divisibility certificates on the weight assignment justify truncating at a
 finite height bound, after which the bounded machinery applies; without
 one, the lattice DP mod m gives the term directly.
@@ -16,10 +19,26 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Callable, Optional
 
-from .counting import _orbit, bounded_sswcn_dp, sswcn_lattice_value
+from .counting import (
+    _apply,
+    _orbit,
+    _sparse_rows,
+    bounded_sswcn_dp,
+    sswcn_lattice_value,
+)
+from .errors import FormulaViolationError, TooLargeError
 from .weights import WeightAssignment
 
 DEFAULT_SEARCH_HORIZON = 64
+
+# Budget of one baby-step giant-step round of the period search: its work
+# in multiply-adds (B giant steps of a dense S x S matrix plus one
+# squaring), and the baby-step vectors it holds, which bound its memory.
+PERIOD_SEARCH_BUDGET = 2**24
+PERIOD_TABLE_LIMIT = 2**16
+
+Rows = list[list[tuple[int, int]]]
+Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,8 +70,30 @@ class PeriodReport:
         }
 
 
-def _divisors(n: int) -> list[int]:
-    return sorted(d for d in range(1, n + 1) if n % d == 0)
+def _compose(a: Rows, b: Rows, m: int) -> Rows:
+    """The sparse rows of the matrix product A B mod m."""
+    size = len(b)
+    out = []
+    for row in a:
+        acc = [0] * size
+        for l, v in row:
+            for j, x in b[l]:
+                acc[j] += v * x
+        out.append([(j, x % m) for j, x in enumerate(acc) if x % m])
+    return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 def detect_eventual_period(
@@ -60,32 +101,124 @@ def detect_eventual_period(
 ) -> PeriodReport:
     """Find the eventual period of the u-bounded weighted count mod m.
 
-    Iterates the boundary vector until a full vector state repeats (bound
-    m**l + 1 steps for l states), giving the minimal preperiod t and period
-    omega of the orbit.  gamma_{t+omega} = gamma_t makes the scalar sequence
-    periodic with period omega from t on, so its minimal period is the
-    least divisor d of omega under which the omega terms from t on are
-    invariant by a cyclic shift.
+    The orbit gamma_n = T^n e_0 of the transfer matrix T over Z/m has a
+    minimal preperiod t and period omega; the scalar sequence (component
+    0) inherits both, and its minimal period from t on divides omega.
+    With S states, the search runs in four stages:
+
+    * Fitting's lemma: (Z/m)^S has length S * Omega(m) <= S * log2(m) as a
+      module, so the images T^n (Z/m)^S stop shrinking after
+      N = S * m.bit_length() steps, and T permutes the last image.  So
+      y = gamma_N lies on the cycle, and t <= N.
+    * Baby-step giant-step (Shanks) on y, with B = 1, 2, 4, ...: baby steps
+      store {T^i y: i} for i < B; if one returns to y, omega is its index.
+      Otherwise omega >= B, the stored vectors are distinct, and the giant
+      steps z = G^j y, G = T^B mod m, j = 1..B, first meet a stored T^i y
+      at the least j with jB >= omega.  T is a bijection on the cycle, so
+      omega divides jB - i, and 0 < jB - i < omega + B <= 2 omega gives
+      omega = jB - i.  A round covers every omega <= B^2 in O(B) steps,
+      and G for the next round is G squared.
+    * t is the first n with gamma_n = gamma_{n + omega}, stepping both
+      orbits together from e_0 and T^omega e_0.
+    * The scalar period: starting from d = omega, divide d by each prime
+      factor p of omega while d / p is still a period.  Candidate d is a
+      period from t iff e_0^T T^n (T^d - I) gamma_t = 0 for all n >= 0;
+      by Cayley-Hamilton over Z/m this sequence obeys the order-S
+      recurrence of the characteristic polynomial of T, so S zero terms in
+      a row, n = 0..S-1, make it zero everywhere.
+
+    A round whose work (B + S) * S^2 (B giant steps and one squaring of
+    the S x S matrix) would pass `PERIOD_SEARCH_BUDGET`, or whose B would
+    pass `PERIOD_TABLE_LIMIT`, raises `TooLargeError` instead; every
+    omega up to 2^32 fits the table.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    seen: dict[tuple[int, ...], int] = {}
-    sequence: list[int] = []
-    for index, gamma in enumerate(_orbit(k, u, w, m)):
-        if gamma in seen:
+    rows = _sparse_rows(k, u, w, m)
+    size = len(rows)
+    powers = [rows]  # powers[i] = T^(2^i) mod m
+
+    def power(i: int) -> Rows:
+        while len(powers) <= i:
+            powers.append(_compose(powers[-1], powers[-1], m))
+        return powers[i]
+
+    def advance(vector: Vector, steps: int) -> Vector:
+        """T^steps vector mod m, by the binary powers of T."""
+        for i in range(steps.bit_length()):
+            if steps >> i & 1:
+                vector = _apply(power(i), vector, m)
+        return vector
+
+    fitting = size * m.bit_length()
+    e0 = (1,) + (0,) * (size - 1)
+    y = e0
+    for _ in range(fitting):
+        y = _apply(rows, y, m)
+    omega = _cycle_length(rows, y, m, power, k, u)
+
+    gamma, shifted = e0, advance(e0, omega)
+    for t in range(fitting + 1):
+        if gamma == shifted:
             break
-        seen[gamma] = index
-        sequence.append(gamma[0])
-    t = seen[gamma]
-    omega = index - t
-    scalar = next(
-        d
-        for d in _divisors(omega)
-        if all(
-            sequence[t + i] == sequence[t + (i + d) % omega] for i in range(omega)
+        gamma, shifted = _apply(rows, gamma, m), _apply(rows, shifted, m)
+    else:
+        raise FormulaViolationError(
+            f"gamma_n and gamma_(n+{omega}) differ for every n up to the "
+            f"Fitting bound {fitting}",
+            expected=f"a preperiod <= {fitting}",
+            actual=f"none found with vector period {omega}",
+            witness=(k, u, m),
         )
-    )
+
+    def is_period(d: int) -> bool:
+        a, b = gamma, advance(gamma, d)
+        for _ in range(size):
+            if a[0] != b[0]:
+                return False
+            a, b = _apply(rows, a, m), _apply(rows, b, m)
+        return True
+
+    scalar = omega
+    for p in _prime_factors(omega):
+        while scalar % p == 0 and is_period(scalar // p):
+            scalar //= p
     return PeriodReport(t, omega, scalar, m, t + 4 * omega)
+
+
+def _cycle_length(
+    rows: Rows, y: Vector, m: int, power: Callable[[int], Rows], k: int, u: int
+) -> int:
+    """The period of y on its cycle under T, by baby-step giant-step with
+    B = 2^r in round r; power(r) is G = T^B mod m.  k and u name the
+    matrix in the budget error."""
+    size = len(rows)
+    baby = {y: 0}
+    z = y
+    r = 0
+    while True:
+        steps = 1 << r
+        if (
+            steps > PERIOD_TABLE_LIMIT
+            or (steps + size) * size * size > PERIOD_SEARCH_BUDGET
+        ):
+            raise TooLargeError(
+                f"period search for (k={k}, u={u}, m={m}) stopped at its budget: "
+                f"no vector period up to {(steps // 2) ** 2} among {size} states"
+            )
+        while len(baby) < steps:
+            z = _apply(rows, z, m)
+            if z == y:
+                return len(baby)
+            baby[z] = len(baby)
+        giant = power(r)
+        z_giant = y
+        for j in range(1, steps + 1):
+            z_giant = _apply(giant, z_giant, m)
+            i = baby.get(z_giant)
+            if i is not None:
+                return j * steps - i
+        r += 1
 
 
 def bounded_sequence_mod(

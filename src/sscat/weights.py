@@ -99,11 +99,13 @@ class WeightMonomial:
         return WeightMonomial(self.b, ())
 
     def evaluate(self, w: "WeightAssignment", modulus: Optional[int] = None) -> int:
+        """The monomial at the weights *w*; mod *modulus* when given, each
+        factor is reduced by modular exponentiation before the product."""
         value = 1
         for i, e in self.b:
-            value *= w.b(i) ** e
+            value *= pow(w.b(i), e, modulus)
         for j, e in self.c:
-            value *= w.c(j) ** e
+            value *= pow(w.c(j), e, modulus)
         return value % modulus if modulus is not None else value
 
     def text(self) -> str:
@@ -241,7 +243,9 @@ class WeightPolynomial:
         return out
 
     def evaluate(self, w: "WeightAssignment", modulus: Optional[int] = None) -> int:
-        total = sum(coeff * mono.evaluate(w) for mono, coeff in self.terms.items())
+        total = sum(
+            coeff * mono.evaluate(w, modulus) for mono, coeff in self.terms.items()
+        )
         return total % modulus if modulus is not None else total
 
     def _sorted_terms(self):

@@ -225,7 +225,7 @@ def test_answers_beyond_the_int_digit_limit(capsys):
 
 # The exit-code contract, driven with argv drawn from a small grammar:
 # every command ends with exit 0, or with exit 2, nothing on stdout and an
-# error on stderr.  Sizes stay small enough for 300 runs in about 2 s.
+# error on stderr.  Sizes stay small enough for 500 runs in about 2 s.
 SMALL_INT = st.integers(-2, 5).map(str)
 TINY_INT = st.integers(-2, 3).map(str)
 TINY_K = st.integers(-2, 4).map(str)
@@ -286,18 +286,55 @@ ARGV = st.one_of(
         st.tuples(st.just("--k-max"), SMALL_INT, st.just("--u-max"), SMALL_INT),
         st.tuples(st.just("--n-max"), SMALL_INT),
     ),
+    _command(
+        "syt",
+        st.tuples(
+            st.sampled_from(("path-to-tableau", "tableau-to-path", "tally")),
+            st.sampled_from(
+                ("", "1,2", "1,2/x", "0", "1,2,3", "1,2/3,4", "1,1,2,2", "2,1", "1/2")
+            ),
+        ),
+        _maybe(st.just("--k"), TINY_K),
+        _maybe(st.just("--format"), st.sampled_from(cli.FORMATS)),
+    ),
+    # --terms stays within the shortest bundled b-file (16 terms)
+    _command(
+        "oeis-check",
+        st.tuples(
+            st.one_of(
+                st.sampled_from(("A000108", "A015448", "A274969", "A001246")),
+                st.sampled_from(("A999999", "X1")),
+            ),
+            st.one_of(
+                st.sampled_from(("dprime-3-2n", "bounded:3", "catalan:x", "nope:1")),
+                st.tuples(st.sampled_from(("catalan", "rightmost")), TINY_K).map(
+                    "{0[0]}:{0[1]}".format
+                ),
+                st.tuples(TINY_K, SMALL_INT).map("bounded:{0[0]},{0[1]}".format),
+            ),
+            st.just("--offline"),
+            st.just("--terms"),
+            TINY_INT,
+        ),
+        _maybe(st.just("--format"), st.sampled_from(cli.FORMATS)),
+    ),
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(ARGV)
-def test_every_command_exits_0_or_2(argv):
+def test_every_command_exits_0_or_2(tmp_path_factory, argv):
+    if argv[0] == "oeis-check":  # an empty cache: only the bundled b-files
+        argv += ("--cache-dir", str(tmp_path_factory.getbasetemp() / "no-cache"))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+    if argv[0] == "oeis-check" and code == 1:  # a real mismatch
+        assert "MISMATCH" in out.getvalue() and not err.getvalue(), argv
+        return
     assert code in (0, 2), (argv, code, err.getvalue())
     if code == 2:
         assert not out.getvalue() and "error" in err.getvalue(), argv

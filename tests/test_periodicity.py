@@ -1,18 +1,25 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from sscat import (
     ALL_ONES,
+    PeriodReport,
     WeightAssignment,
     bounded_sequence_mod,
+    build_state_space,
+    build_transfer_matrix,
     catalan_number,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
     detect_eventual_period,
+    min_path_height,
     sswcn_brute,
     unbounded_sswcn_mod,
 )
+from sscat.cli import main
 from tests.conftest import random_assignment
 
 
@@ -69,6 +76,147 @@ def test_scalar_period_is_minimal_on_the_horizon():
             assert report.scalar_period == minimal
     report = detect_eventual_period(3, 4, m=4)
     assert (report.vector_period, report.scalar_period) == (2, 1)
+
+
+def _dict_orbit_report(k, u, w, m, max_steps):
+    """The period search by dictionary, as an oracle: step the dense orbit
+    mod m until a vector repeats, then take the least divisor d of omega
+    under which the omega scalar terms from t on are invariant by a
+    cyclic shift.  None when no vector repeats within *max_steps*."""
+    matrix = build_transfer_matrix(build_state_space(k, u)).evaluated(w, m)
+    gamma = (1,) + (0,) * (len(matrix) - 1)
+    seen, sequence = {}, []
+    while gamma not in seen:
+        if len(sequence) == max_steps:
+            return None
+        seen[gamma] = len(sequence)
+        sequence.append(gamma[0])
+        gamma = tuple(sum(a * g for a, g in zip(row, gamma)) % m for row in matrix)
+    t = seen[gamma]
+    omega = len(sequence) - t
+    scalar = next(
+        d
+        for d in range(1, omega + 1)
+        if omega % d == 0
+        and all(sequence[t + i] == sequence[t + (i + d) % omega] for i in range(omega))
+    )
+    return PeriodReport(t, omega, scalar, m, t + 4 * omega)
+
+
+def test_period_search_matches_dict_orbit_oracle():
+    # composite moduli and weights that vanish mod m give preperiods
+    # beyond 1 and scalar periods below the vector period
+    rng = random.Random(17)
+    late_starts = smaller_scalar = 0
+    for _ in range(1000):
+        k = rng.randint(2, 5)
+        u = rng.randint(0, 2 * min_path_height(k) + 6)
+        m = rng.choice((2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 27))
+        pool = (0, 0, 1, 2, 3, -1, m, 2 * m)
+        w = WeightAssignment(
+            tuple(rng.choice(pool) for _ in range(rng.randint(0, 4))),
+            rng.choice(pool),
+            tuple(rng.choice(pool) for _ in range(rng.randint(0, 4))),
+            rng.choice(pool),
+        )
+        report = detect_eventual_period(k, u, w, m)
+        assert report == _dict_orbit_report(k, u, w, m, None), (k, u, w, m)
+        late_starts += report.preperiod > 1
+        smaller_scalar += report.scalar_period < report.vector_period
+    assert late_starts >= 50 and smaller_scalar >= 10
+    # more states and longer orbits; where the oracle gives up, no vector
+    # repeats within its steps, so t + omega must exceed them
+    rng = random.Random(5)
+    max_steps = 20000
+    for _ in range(24):
+        k, u = rng.choice(((3, 8), (3, 10), (3, 12), (4, 10), (4, 14), (5, 14)))
+        m = rng.choice((5, 7, 11, 25, 36))
+        pool = (1, 1, 2, 3, -1, m)
+        w = WeightAssignment(
+            tuple(rng.choice(pool) for _ in range(3)),
+            1,
+            tuple(rng.choice(pool) for _ in range(3)),
+            rng.choice(pool),
+        )
+        report = detect_eventual_period(k, u, w, m)
+        expected = _dict_orbit_report(k, u, w, m, max_steps)
+        if expected is None:
+            assert report.preperiod + report.vector_period > max_steps
+        else:
+            assert report == expected, (k, u, w, m)
+
+
+def _prime_factors(n):
+    factors, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.add(p)
+            n //= p
+        p += 1
+    return factors | ({n} if n > 1 else set())
+
+
+def test_period_3_8_mod_101_certified_by_dense_powers():
+    # omega = 35,030,200 is far beyond any orbit walk; certify it with
+    # square-and-multiply on the dense matrix written out here
+    m = 101
+    report = detect_eventual_period(3, 8, m=m)
+    omega = 35030200
+    assert (report.preperiod, report.vector_period, report.scalar_period) == (
+        0,
+        omega,
+        omega,
+    )
+    matrix = build_transfer_matrix(build_state_space(3, 8)).evaluated(ALL_ONES, m)
+    size = len(matrix)
+
+    def times(a, b):
+        return [
+            [sum(a[i][l] * b[l][j] for l in range(size)) % m for j in range(size)]
+            for i in range(size)
+        ]
+
+    def power(e):
+        result = [[int(i == j) for j in range(size)] for i in range(size)]
+        base = matrix
+        while e:
+            if e & 1:
+                result = times(result, base)
+            base = times(base, base)
+            e >>= 1
+        return result
+
+    e0 = [1] + [0] * (size - 1)
+    assert [row[0] for row in power(omega)] == e0
+    for p in _prime_factors(omega):
+        shifted = [row[0] for row in power(omega // p)]
+        assert shifted != e0
+        # the scalar terms s_n and s_(n + omega/p) differ for some n < size
+        gamma = e0
+        differs = False
+        for _ in range(size):
+            differs |= gamma[0] != shifted[0]
+            gamma = [sum(a * g for a, g in zip(row, gamma)) % m for row in matrix]
+            shifted = [sum(a * g for a, g in zip(row, shifted)) % m for row in matrix]
+        assert differs, p
+
+
+def test_period_search_budget_exits_2():
+    # 77 states pass the work budget; one state and a period beyond 2^32
+    # pass the baby-step table
+    for argv, name in (
+        (["3", "40", "--mod", "5"], "(k=3, u=40, m=5)"),
+        (
+            ["3", "2", "--mod", "1000000000000037", "--b", "3,fill=3"],
+            "(k=3, u=2, m=1000000000000037)",
+        ),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["period", *argv])
+        assert code == 2 and not out.getvalue()
+        assert err.getvalue().startswith(f"error: period search for {name}")
+        assert "stopped at its budget" in err.getvalue()
 
 
 def test_detect_report_json():
