@@ -15,7 +15,6 @@ from .counting import (
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
-    build_transfer_matrix,
     catalan_number,
     legacy_wcn_brute,
     max_path_height,
@@ -47,7 +46,6 @@ from .oeis import (
     ComparisonReport,
     SequenceRecord,
     compare_sequences,
-    emit_bfile,
     fetch_bfile,
     parse_bfile,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import triangles
@@ -106,16 +107,26 @@ def _emit(args, plain: str, payload, csv: Optional[str] = None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    paths = list(enumerate_paths(args.k, args.n, height_bound=args.bound))
+    """Print each path as the DFS yields it; the JSON form is written in
+    pieces whose bytes match `json.dumps` of the whole list."""
+    paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
+    # The generator checks its arguments on the first step, so take that
+    # step before printing: a usage error leaves stdout empty.
+    first = next(paths, None)
+    if first is not None:
+        paths = chain((first,), paths)
     if args.format == "json":
-        print(json.dumps([list(p.steps) for p in paths]))
-    elif args.format == "csv":
+        sep = ""
+        print("[", end="")
+        for p in paths:
+            print(sep + json.dumps(list(p.steps)), end="")
+            sep = ", "
+        print("]")
+        return 0
+    if args.format == "csv":
         print("steps")
-        for p in paths:
-            print(" ".join(map(str, p.steps)))
-    else:
-        for p in paths:
-            print(" ".join(map(str, p.steps)))
+    for p in paths:
+        print(" ".join(map(str, p.steps)))
     return 0
 
 

@@ -209,42 +209,14 @@ class StateSpace:
     u: int
     states: tuple[Point, ...]
 
-    def index_of(self, p: Point) -> int:
-        return self.states.index(tuple(p))
-
     def __len__(self) -> int:
         return len(self.states)
 
 
 @lru_cache(maxsize=None)
 def build_state_space(k: int, u: int) -> StateSpace:
-    """BFS closure from the all-zero state under normalized k-step blocks,
-    in discovery order (all-zero first, new states per level in sorted order)."""
-    if u < 0:
-        raise ValueError(f"height bound must be >= 0, got {u}")
-    zero = (0,) * k
-    states = [zero]
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        discovered = set()
-        for state in frontier:
-            for w in _blocks(k, u, state):
-                if w not in seen:
-                    discovered.add(w)
-        frontier = sorted(discovered)
-        states.extend(frontier)
-        seen.update(frontier)
-    space = StateSpace(k, u, tuple(states))
-    for s in space.states:
-        if s[-1] != 0 or ss_height_point(s) > u:
-            raise FormulaViolationError(
-                f"state {s} is not normalized or lies above the bound u={u}",
-                expected=f"last coordinate 0 and height <= {u}",
-                actual=s,
-                witness=(k, u),
-            )
-    return space
+    """The states of `_transfer_matrix(k, u)`, in its BFS order."""
+    return _transfer_matrix(k, u).space
 
 
 @dataclass(frozen=True)
@@ -252,7 +224,9 @@ class TransferMatrix:
     """Symbolic k-step transition matrix over the state space.
 
     Entry (i, j) sums the semisymmetric weight over the height-bounded
-    k-step blocks from state i whose endpoint normalizes to state j."""
+    k-step blocks from state i whose endpoint normalizes to state j.  All
+    zero entries are one shared empty polynomial, so entries are read,
+    never changed in place."""
 
     space: StateSpace
     entries: tuple[tuple[WeightPolynomial, ...], ...]
@@ -268,20 +242,38 @@ class TransferMatrix:
         ]
 
 
+_ZERO = WeightPolynomial()
+
+
 @lru_cache(maxsize=None)
 def _transfer_matrix(k: int, u: int) -> TransferMatrix:
-    space = build_state_space(k, u)
-    size = len(space)
-    index = {s: i for i, s in enumerate(space.states)}
-    rows = [[WeightPolynomial() for _ in range(size)] for _ in range(size)]
-    for i, state in enumerate(space.states):
-        for w, sums in _blocks(k, u, state).items():
-            rows[i][index[w]] = _polynomial(sums)
-    return TransferMatrix(space, tuple(tuple(row) for row in rows))
-
-
-def build_transfer_matrix(space: StateSpace) -> TransferMatrix:
-    return _transfer_matrix(space.k, space.u)
+    """The u-bounded transfer matrix, by one BFS from the all-zero state
+    under normalized k-step blocks.  Each state's blocks are walked once,
+    and their sums become its row as they are found.  States are numbered
+    in discovery order: all-zero first, then each level's new states in
+    sorted order."""
+    if u < 0:
+        raise ValueError(f"height bound must be >= 0, got {u}")
+    states = [(0,) * k]
+    rows: list[dict[Point, WeightPolynomial]] = []
+    while len(rows) < len(states):
+        level = states[len(rows) :]
+        for state in level:
+            blocks = _blocks(k, u, state)
+            rows.append({w: _polynomial(sums) for w, sums in blocks.items()})
+        found = {w for row in rows[-len(level) :] for w in row}
+        new = sorted(found.difference(states))
+        for s in new:
+            if s[-1] != 0 or ss_height_point(s) > u:
+                raise FormulaViolationError(
+                    f"state {s} is not normalized or lies above the bound u={u}",
+                    expected=f"last coordinate 0 and height <= {u}",
+                    actual=s,
+                    witness=(k, u),
+                )
+        states.extend(new)
+    entries = tuple(tuple(row.get(s, _ZERO) for s in states) for row in rows)
+    return TransferMatrix(StateSpace(k, u, tuple(states)), entries)
 
 
 def _sparse_rows(

@@ -30,7 +30,8 @@ class InvalidStateError(SscatError):
 
 
 class TooLargeError(SscatError):
-    """A brute-force enumeration would exceed the configured path cap."""
+    """A computation would pass a fixed budget: the path cap of the brute-force
+    oracles and `sswcn_lattice`, or the period search's work and table limits."""
 
 
 class InvalidTableauError(SscatError):

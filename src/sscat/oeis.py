@@ -1,4 +1,4 @@
-"""OEIS b-file ingestion, caching, comparison, and emission.
+"""OEIS b-file ingestion, caching, and comparison.
 
 A b-file is plain text with one `index value` pair per line; lines
 starting with `#` and blank lines are ignored; indices must be
@@ -9,7 +9,6 @@ over the network.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
@@ -45,13 +44,6 @@ class SequenceRecord:
             raise IndexError(f"index {index} outside {self.id}'s stored range")
         return self.values[index - self.offset]
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "offset": self.offset,
-            "values": [str(v) for v in self.values],
-        }
-
 
 def parse_bfile(text: str, id: str = "") -> SequenceRecord:
     """Parse b-file text into a record; raises on malformed lines or
@@ -81,13 +73,6 @@ def parse_bfile(text: str, id: str = "") -> SequenceRecord:
     if offset is None:
         raise BFileParseError("no data lines found", 1)
     return SequenceRecord(id, offset, tuple(values))
-
-
-def emit_bfile(record: SequenceRecord) -> str:
-    """Render a record as b-file text (parse's inverse on the data lines)."""
-    return "".join(
-        f"{record.offset + i} {v}\n" for i, v in enumerate(record.values)
-    )
 
 
 def _cache_dir(cache_dir: Optional[str]) -> Path:
@@ -168,9 +153,6 @@ class ComparisonReport:
             "first_mismatch": self.first_mismatch,
             "match": self.match,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def compare_sequences(

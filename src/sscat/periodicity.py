@@ -228,13 +228,6 @@ def bounded_sequence_mod(
     return [gamma[0] for gamma in islice(_orbit(k, u, w, m), count)]
 
 
-def _scan(horizon: int, window: Callable[[int], bool], start: int) -> Optional[int]:
-    for u in range(start, horizon + 1):
-        if window(u):
-            return u
-    return None
-
-
 def check_entrywise_divisibility(
     w: WeightAssignment,
     m: int,
@@ -247,19 +240,12 @@ def check_entrywise_divisibility(
     Returns (u, condition) or None.  Either condition certifies that the
     unbounded count mod m equals the (u+k-2)-bounded count mod m.
     """
-
-    def either(u: int) -> bool:
-        return _cond(u) is not None
-
-    def _cond(u: int) -> Optional[int]:
+    for u in range(search_horizon + 1):
         if all(w.b(u + i) % m == 0 for i in range(k)):
-            return 1
+            return u, 1
         if u >= 1 and all(w.c(u - 1 + i) % m == 0 for i in range(k)):
-            return 2
-        return None
-
-    u = _scan(search_horizon, either, 0)
-    return None if u is None else (u, _cond(u))
+            return u, 2
+    return None
 
 
 def check_pairwise_product_divisibility(
@@ -274,12 +260,11 @@ def check_pairwise_product_divisibility(
     Certifies that the unbounded count mod m equals the (u+2k-1)-bounded
     count mod m.
     """
-
-    def window(u: int) -> bool:
+    for u in range(search_horizon + 1):
         values = [w.b(u + i) % m for i in range(2 * k)]
-        return all(x * y % m == 0 for x, y in combinations(values, 2))
-
-    return _scan(search_horizon, window, 0)
+        if all(x * y % m == 0 for x, y in combinations(values, 2)):
+            return u
+    return None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ where i is a descent when i+1 appears in a strictly lower row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidPathError, InvalidTableauError
@@ -48,25 +47,11 @@ class Tableau:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def row_of(self, entry: int) -> int:
-        """0-based row index containing *entry*."""
-        for j, r in enumerate(self.rows):
-            if entry in r:
-                return j
-        raise InvalidTableauError(f"entry {entry} not present")
-
     def render(self) -> str:
         return "\n".join(" ".join(str(v) for v in r) for r in self.rows)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        return cls(tuple(tuple(r) for r in data["rows"]))
 
 
 def path_to_tableau(path: BallotPath) -> Tableau:

@@ -138,8 +138,7 @@ def _expect(condition: bool, message: str, expected, actual, witness=None) -> No
 
 def _power_poly(b_indices: Sequence[int], n: int) -> WeightPolynomial:
     """The monomial (prod B_i)^n as a one-term polynomial."""
-    mono = WeightMonomial.from_indices(list(b_indices) * n)
-    return WeightPolynomial.from_monomial(mono)
+    return WeightPolynomial({WeightMonomial.from_indices(list(b_indices) * n): 1})
 
 
 _MIN_U_CASES = {

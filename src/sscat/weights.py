@@ -6,17 +6,18 @@ h_k(x) = (k-1) x_1 - x_2 - ... - x_k from the earlier generalization.
 
 Weights are monomials in variables B(i) and C(j): an up-step contributes
 B(height of its starting point), every other step contributes C(height of
-its resulting point).  Sums of weights live in a sparse polynomial ring
-with exact integer coefficients.
+its resulting point).  Sums of weights are sparse polynomials with exact
+integer coefficients, which the package only adds, compares, evaluates
+and prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidDimensionError
-from .paths import BallotPath, Point, StepKind, height_coefficients, step_class
+from .paths import BallotPath, Point, height_coefficients
 
 
 def ss_height_point(p: Point) -> int:
@@ -77,22 +78,6 @@ class WeightMonomial:
             cls._normalize((i, 1) for i in b_indices),
             cls._normalize((j, 1) for j in c_indices),
         )
-
-    def __mul__(self, other: "WeightMonomial") -> "WeightMonomial":
-        return WeightMonomial(
-            self._normalize(self.b + other.b),
-            self._normalize(self.c + other.c),
-        )
-
-    def b_degree(self) -> int:
-        return sum(e for _, e in self.b)
-
-    def c_degree(self) -> int:
-        return sum(e for _, e in self.c)
-
-    def max_index(self) -> int:
-        indices = [i for i, _ in self.b] + [j for j, _ in self.c]
-        return max(indices, default=0)
 
     def drop_c(self) -> "WeightMonomial":
         """Specialize every C variable to 1."""
@@ -169,18 +154,6 @@ class WeightPolynomial:
                 if coeff:
                     self.terms[mono] = coeff
 
-    @classmethod
-    def zero(cls) -> "WeightPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "WeightPolynomial":
-        return cls({MONOMIAL_ONE: 1})
-
-    @classmethod
-    def from_monomial(cls, mono: WeightMonomial, coeff: int = 1) -> "WeightPolynomial":
-        return cls({mono: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -197,34 +170,6 @@ class WeightPolynomial:
                 result.pop(mono, None)
         out = WeightPolynomial()
         out.terms = result
-        return out
-
-    def __sub__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        result: dict[WeightMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                new = result.get(mono, 0) + c1 * c2
-                if new:
-                    result[mono] = new
-                else:
-                    result.pop(mono, None)
-        out = WeightPolynomial()
-        out.terms = result
-        return out
-
-    __rmul__ = __mul__
-
-    def scale(self, factor: int) -> "WeightPolynomial":
-        if factor == 0:
-            return WeightPolynomial()
-        out = WeightPolynomial()
-        out.terms = {m: factor * c for m, c in self.terms.items()}
         return out
 
     def add_monomial(self, mono: WeightMonomial, coeff: int = 1) -> None:
@@ -285,17 +230,6 @@ class WeightPolynomial:
             }
             for mono, coeff in self._sorted_terms()
         ]
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "WeightPolynomial":
-        out = cls()
-        for term in data:
-            mono = WeightMonomial(
-                tuple(sorted((int(i), e) for i, e in term["b"].items())),
-                tuple(sorted((int(j), e) for j, e in term["c"].items())),
-            )
-            out.add_monomial(mono, int(term["coeff"]))
-        return out
 
 
 @dataclass(frozen=True)

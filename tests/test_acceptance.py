@@ -15,7 +15,6 @@ from sscat import (
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
-    build_transfer_matrix,
     catalan_number,
     detect_eventual_period,
     enumerate_paths,
@@ -37,6 +36,7 @@ from sscat import (
     verify_min_u_formulas,
     verify_recurrence_3_4,
 )
+from sscat.counting import _transfer_matrix
 from sscat.syt import Tableau
 from tests.conftest import random_assignment
 from tests.test_triangles import (
@@ -126,7 +126,7 @@ def test_criterion_5_dp_vs_brute():
 def test_criterion_6_transfer_matrix_golden():
     space = build_state_space(3, 5)
     assert space.states == ((0, 0, 0), (2, 1, 0))
-    matrix = build_transfer_matrix(space)
+    matrix = _transfer_matrix(3, 5)
     assert [[entry.text() for entry in row] for row in matrix.entries] == [
         ["B0*C2*C0", "B0*B2*C2 + B0*B2*C4"],
         ["C2^2*C0 + C4*C2*C0", "B2*C2^2 + 2*B2*C4*C2"],

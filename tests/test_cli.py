@@ -2,12 +2,19 @@ import io
 import json
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscat import FormulaViolationError, WeightAssignment, bounded_sswcn_dp, cli
+from sscat import (
+    FormulaViolationError,
+    WeightAssignment,
+    bounded_sswcn_dp,
+    cli,
+    enumerate_paths,
+)
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
 
@@ -73,6 +80,26 @@ def test_enumerate(capsys):
     assert out.strip().splitlines() == ["1 2 3 1 2 3"]
     code, out, _ = run(capsys, "enumerate", "3", "2", "--format", "json")
     assert len(json.loads(out)) == 5
+    assert out == json.dumps([list(p.steps) for p in enumerate_paths(3, 2)]) + "\n"
+
+
+def test_enumerate_prints_each_path_as_it_is_found(capsys, monkeypatch):
+    def three_then_fail(k, n, height_bound=None):
+        yield from islice(enumerate_paths(k, n, height_bound), 3)
+        raise RuntimeError("stopped after three paths")
+
+    monkeypatch.setattr(cli, "enumerate_paths", three_then_fail)
+    first = [list(p.steps) for p in islice(enumerate_paths(3, 2), 3)]
+    lines = "".join(" ".join(map(str, steps)) + "\n" for steps in first)
+    expected = {
+        "plain": lines,
+        "csv": "steps\n" + lines,
+        "json": "[" + ", ".join(json.dumps(steps) for steps in first),
+    }
+    for fmt, printed in expected.items():
+        with pytest.raises(RuntimeError):
+            main(["enumerate", "3", "2", "--format", fmt])
+        assert capsys.readouterr().out == printed, fmt
 
 
 def test_bounded_with_weights(capsys):
@@ -295,6 +322,13 @@ ARGV = st.one_of(
             ),
         ),
         _maybe(st.just("--k"), TINY_K),
+        _maybe(st.just("--format"), st.sampled_from(cli.FORMATS)),
+    ),
+    _command(
+        "verify",
+        st.tuples(
+            st.sampled_from((*sorted(cli.triangles.ALL_VERIFIERS), "all", "no-such-name"))
+        ),
         _maybe(st.just("--format"), st.sampled_from(cli.FORMATS)),
     ),
     # --terms stays within the shortest bundled b-file (16 terms)

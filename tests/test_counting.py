@@ -15,7 +15,6 @@ from sscat import (
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
-    build_transfer_matrix,
     catalan_number,
     legacy_wcn_brute,
     max_path_height,
@@ -25,6 +24,8 @@ from sscat import (
     sswt,
     sub_sswcn_brute,
 )
+from sscat import counting
+from sscat.counting import _transfer_matrix
 from sscat.errors import InvalidPathError
 from tests.conftest import random_assignment
 
@@ -63,7 +64,7 @@ def test_bounded_dp_matches_dense_iteration():
         w = random_assignment(rng)
         modulus = rng.choice((None, 1, 2, 7, 30))
         n = rng.randrange(12)
-        matrix = build_transfer_matrix(build_state_space(k, u)).evaluated(w)
+        matrix = _transfer_matrix(k, u).evaluated(w)
         gamma = [1] + [0] * (len(matrix) - 1)
         for _ in range(n):
             gamma = [sum(a * g for a, g in zip(row, gamma)) for row in matrix]
@@ -97,12 +98,12 @@ def test_path_cap():
 def test_state_space_3_5_golden():
     space = build_state_space(3, 5)
     assert space.states == ((0, 0, 0), (2, 1, 0))
-    assert space.index_of((2, 1, 0)) == 1
+    assert space.states.index((2, 1, 0)) == 1
     assert len(space) == 2
 
 
 def test_transfer_matrix_3_5_golden():
-    matrix = build_transfer_matrix(build_state_space(3, 5))
+    matrix = _transfer_matrix(3, 5)
     texts = [[entry.text() for entry in row] for row in matrix.entries]
     assert texts == [
         ["B0*C2*C0", "B0*B2*C2 + B0*B2*C4"],
@@ -116,7 +117,7 @@ def block_oracle(k, u):
     sequence in 1..k is a block from a state when it is a valid sub-ballot
     path from there with height <= u; entry (i, j) sums the sswt of the
     blocks from state i whose endpoint normalizes to state j.  The BFS
-    keeps the discovery order of `build_state_space`."""
+    keeps the discovery order of `_transfer_matrix`."""
     zero = (0,) * k
     states, frontier, rows = [zero], [zero], {}
     while frontier:
@@ -146,9 +147,28 @@ def block_oracle(k, u):
 def test_transfer_matrix_matches_block_oracle(k):
     for u in range(2 * min_path_height(k) + 3):
         states, texts = block_oracle(k, u)
-        matrix = build_transfer_matrix(build_state_space(k, u))
+        matrix = _transfer_matrix(k, u)
         assert matrix.space.states == states, u
         assert [[entry.text() for entry in row] for row in matrix.entries] == texts, u
+
+
+def test_transfer_matrix_walks_each_state_once(monkeypatch):
+    walked = []
+    blocks = counting._blocks
+
+    def counted(k, u, a):
+        walked.append(a)
+        return blocks(k, u, a)
+
+    monkeypatch.setattr(counting, "_blocks", counted)
+    for k, u in ((3, 5), (4, 12), (5, 10)):
+        counting._transfer_matrix.cache_clear()
+        counting.build_state_space.cache_clear()
+        walked.clear()
+        matrix = counting._transfer_matrix(k, u)
+        assert sorted(walked) == sorted(matrix.space.states), (k, u)
+        zeros = {id(e) for row in matrix.entries for e in row if e.is_zero()}
+        assert len(zeros) <= 1, (k, u)
 
 
 def test_dp_equals_brute():

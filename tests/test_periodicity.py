@@ -9,8 +9,6 @@ from sscat import (
     PeriodReport,
     WeightAssignment,
     bounded_sequence_mod,
-    build_state_space,
-    build_transfer_matrix,
     catalan_number,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
@@ -20,6 +18,7 @@ from sscat import (
     unbounded_sswcn_mod,
 )
 from sscat.cli import main
+from sscat.counting import _transfer_matrix
 from tests.conftest import random_assignment
 
 
@@ -83,7 +82,7 @@ def _dict_orbit_report(k, u, w, m, max_steps):
     mod m until a vector repeats, then take the least divisor d of omega
     under which the omega scalar terms from t on are invariant by a
     cyclic shift.  None when no vector repeats within *max_steps*."""
-    matrix = build_transfer_matrix(build_state_space(k, u)).evaluated(w, m)
+    matrix = _transfer_matrix(k, u).evaluated(w, m)
     gamma = (1,) + (0,) * (len(matrix) - 1)
     seen, sequence = {}, []
     while gamma not in seen:
@@ -167,7 +166,7 @@ def test_period_3_8_mod_101_certified_by_dense_powers():
         omega,
         omega,
     )
-    matrix = build_transfer_matrix(build_state_space(3, 8)).evaluated(ALL_ONES, m)
+    matrix = _transfer_matrix(3, 8).evaluated(ALL_ONES, m)
     size = len(matrix)
 
     def times(a, b):

@@ -81,12 +81,11 @@ def test_legacy_wt():
 
 def test_monomial_algebra():
     m1 = WeightMonomial.from_indices([0, 2], [4])
-    m2 = WeightMonomial.from_indices([2], [2, 0])
-    product = m1 * m2
-    assert product.text() == "B0*B2^2*C4*C2*C0"
-    assert product.b_degree() == 3 and product.c_degree() == 3
-    assert product.max_index() == 4
-    assert product.drop_c().text() == "B0*B2^2"
+    # repeated indices merge into exponents, each block sorted by index
+    merged = WeightMonomial.from_indices([2, 0, 2], [4, 2, 0])
+    assert merged.text() == "B0*B2^2*C4*C2*C0"
+    assert merged.b == ((0, 1), (2, 2)) and merged.c == ((0, 1), (2, 1), (4, 1))
+    assert merged.drop_c().text() == "B0*B2^2"
     assert WeightMonomial().text() == "1"
     w = WeightAssignment(b_prefix=(2, 0, 3), c_prefix=(5,), c_fill=7)
     assert m1.evaluate(w) == 2 * 3 * 7
@@ -121,18 +120,27 @@ polys = st.lists(
 def test_polynomial_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p + WeightPolynomial.zero() == p
-    assert p * WeightPolynomial.one() == p
-    assert p - p == WeightPolynomial.zero()
+    assert p + WeightPolynomial() == p
+    # cancelled terms are dropped, so p + (-p) is the empty polynomial
+    negated = WeightPolynomial({m: -c for m, c in p.terms.items()})
+    assert p + negated == WeightPolynomial()
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys)
 def test_polynomial_json_roundtrip(p):
-    assert WeightPolynomial.from_json(p.to_json()) == p
+    decoded = {
+        WeightMonomial(
+            tuple((int(i), e) for i, e in term["b"].items()),
+            tuple((int(j), e) for j, e in term["c"].items()),
+        ): int(term["coeff"])
+        for term in p.to_json()
+    }
+    assert WeightPolynomial(decoded) == p
+    assert _poly([(([2, 0, 2], [4]), 3), (([], []), -1)]).to_json() == [
+        {"coeff": "-1", "b": {}, "c": {}},
+        {"coeff": "3", "b": {"0": 1, "2": 2}, "c": {"4": 1}},
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +152,6 @@ def test_polynomial_evaluation_is_ring_morphism(p, q):
         c_prefix=tuple(rng.randint(-3, 3) for _ in range(5)),
     )
     assert (p + q).evaluate(w) == p.evaluate(w) + q.evaluate(w)
-    assert (p * q).evaluate(w) == p.evaluate(w) * q.evaluate(w)
 
 
 def test_polynomial_text():
