@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from typing import Optional, Sequence
@@ -91,13 +92,15 @@ def _parse_tableau(text: str) -> Tableau:
     return Tableau(rows)
 
 
-def _emit(args, plain: str, payload, csv: Optional[str] = None) -> None:
+def _emit(args, plain: str, payload) -> None:
+    """Print *plain*, *payload* as JSON, or *payload* as a one-record CSV:
+    its keys on one line and its values on the next, None as an empty
+    field."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        if csv is None:
-            raise SscatError("csv output is not defined for this subcommand")
-        print(csv, end="")
+        print(",".join(payload))
+        print(",".join("" if v is None else str(v) for v in payload.values()))
     else:
         print(plain)
 
@@ -132,12 +135,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     value = _decimal_text(catalan_number(args.k, args.n))
-    _emit(
-        args,
-        value,
-        {"k": args.k, "n": args.n, "count": value},
-        f"k,n,count\n{args.k},{args.n},{value}\n",
-    )
+    _emit(args, value, {"k": args.k, "n": args.n, "count": value})
     return 0
 
 
@@ -149,23 +147,24 @@ def _cmd_bounded(args) -> int:
         args,
         value,
         {"k": args.k, "u": args.u, "n": args.n, "mod": args.mod, "value": value},
-        f"k,u,n,value\n{args.k},{args.u},{args.n},{value}\n",
     )
     return 0
 
 
 def _cmd_sswcn(args) -> int:
-    if args.symbolic:
-        poly = sswcn_lattice(args.k, args.n)
-        _emit(args, poly.text(), {"k": args.k, "n": args.n, "polynomial": poly.to_json()})
-    else:
+    if not args.symbolic:
         value = _decimal_text(sswcn_lattice_value(args.k, args.n, _weights(args)))
-        _emit(
-            args,
-            value,
-            {"k": args.k, "n": args.n, "value": value},
-            f"k,n,value\n{args.k},{args.n},{value}\n",
-        )
+        _emit(args, value, {"k": args.k, "n": args.n, "value": value})
+        return 0
+    if args.format == "csv":
+        raise SscatError("csv output is not defined for sswcn --symbolic")
+    # Either form of the polynomial can take hundreds of MB: build only the
+    # one that is printed.
+    poly = sswcn_lattice(args.k, args.n)
+    if args.format == "json":
+        print(json.dumps({"k": args.k, "n": args.n, "polynomial": poly.to_json()}, indent=2))
+    else:
+        print(poly.text())
     return 0
 
 
@@ -181,7 +180,10 @@ def _cmd_triangle(args) -> int:
     if args.format == "json":
         print(json.dumps([row.to_json() for row in rows], indent=2))
     elif args.format == "csv":
-        print(triangles.rows_to_csv(rows), end="")
+        print("k,n,stat,count")
+        for row in rows:
+            for s, c in sorted(row.entries.items()):
+                print(f"{row.k},{row.n},{s},{c}")
     else:
         for row in rows:
             entries = " ".join(f"{s}:{c}" for s, c in sorted(row.entries.items()))
@@ -201,12 +203,8 @@ def _cmd_period(args) -> int:
 
 def _cmd_verify(args) -> int:
     records = triangles.run_verifiers(args.name)
-    if args.format == "json":
-        print(triangles.records_to_json(records))
-    else:
-        for record in records:
-            for check in record.checks:
-                print(f"ok {record.name}: {check}")
+    plain = "\n".join(f"ok {r.name}: {check}" for r in records for check in r.checks)
+    _emit(args, plain, [r.to_json() for r in records])
     return 0
 
 
@@ -297,11 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help):
+    def add(name, handler, help, formats):
+        # argparse refuses a format the subcommand cannot print before any
+        # work starts.
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=FORMATS, default="plain")
+        p.add_argument("--format", choices=formats, default="plain")
         return p
+
+    # csv only where the answer is a table or one record of scalars
+    no_csv = ("plain", "json")
 
     def add_weights(p):
         # argparse also parses the string default, so an absent option
@@ -314,40 +317,42 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"{name[2:]} weights, e.g. {example}",
             )
 
-    p = add("enumerate", _cmd_enumerate, "list balanced ballot paths")
+    p = add("enumerate", _cmd_enumerate, "list balanced ballot paths", FORMATS)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--bound", type=int, default=None, help="height bound u")
 
-    p = add("count", _cmd_count, "k-dimensional Catalan number")
+    p = add("count", _cmd_count, "k-dimensional Catalan number", FORMATS)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
 
-    p = add("bounded", _cmd_bounded, "u-bounded weighted count via the transfer matrix")
+    p = add(
+        "bounded", _cmd_bounded, "u-bounded weighted count via the transfer matrix", FORMATS
+    )
     p.add_argument("k", type=int)
     p.add_argument("u", type=int)
     p.add_argument("n", type=int)
     add_weights(p)
     p.add_argument("--mod", type=int, default=None)
 
-    p = add("sswcn", _cmd_sswcn, "unbounded weighted count (lattice DP)")
+    p = add("sswcn", _cmd_sswcn, "unbounded weighted count (lattice DP)", FORMATS)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--symbolic", action="store_true", help="print the polynomial")
     add_weights(p)
 
-    p = add("triangle", _cmd_triangle, "height or Narayana triangle rows")
+    p = add("triangle", _cmd_triangle, "height or Narayana triangle rows", FORMATS)
     p.add_argument("kind", choices=("height", "narayana"))
     p.add_argument("k", type=int)
     p.add_argument("--rows", type=int, required=True, help="largest n")
 
-    p = add("period", _cmd_period, "eventual period of the bounded count mod m")
+    p = add("period", _cmd_period, "eventual period of the bounded count mod m", no_csv)
     p.add_argument("k", type=int)
     p.add_argument("u", type=int)
     p.add_argument("--mod", type=int, required=True)
     add_weights(p)
 
-    p = add("verify", _cmd_verify, "run closed-formula verifiers")
+    p = add("verify", _cmd_verify, "run closed-formula verifiers", no_csv)
     p.add_argument(
         "name",
         nargs="?",
@@ -355,19 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of {sorted(triangles.ALL_VERIFIERS)} or 'all'",
     )
 
-    p = add("oeis-check", _cmd_oeis_check, "compare a generator against an OEIS b-file")
+    p = add("oeis-check", _cmd_oeis_check, "compare a generator against an OEIS b-file", no_csv)
     p.add_argument("id", help="A-number, e.g. A015448")
     p.add_argument("generator", help="catalan:k | bounded:k,u | dprime-3-2n | rightmost:k")
     p.add_argument("--terms", type=int, default=10)
     p.add_argument("--offline", action="store_true")
     p.add_argument("--cache-dir", default=None)
 
-    p = add("syt", _cmd_syt, "standard Young tableau operations")
+    p = add("syt", _cmd_syt, "standard Young tableau operations", no_csv)
     p.add_argument("action", choices=("path-to-tableau", "tableau-to-path", "tally"))
     p.add_argument("value", help="steps '1,1,2,...' or rows '1,2/3,4'")
     p.add_argument("--k", type=int, default=None, help="dimension for path input")
 
-    p = add("scan-pow2", _cmd_scan_pow2, "scan (k,u) for bounded counts equal to 2^(n-1)")
+    p = add(
+        "scan-pow2", _cmd_scan_pow2, "scan (k,u) for bounded counts equal to 2^(n-1)", no_csv
+    )
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--u-max", type=int, default=12)
     p.add_argument("--n-max", type=int, default=6)
@@ -381,7 +388,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "syt" and args.action == "path-to-tableau" and args.k is None:
         parser.error("syt path-to-tableau requires --k")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a reader that left early is met here
+        return code
+    except BrokenPipeError:
+        # A closed stdout is a normal end.  Point fd 1 at devnull so the
+        # interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FormulaViolationError as exc:
         print(
             f"FAIL: {exc} (expected {exc.expected!r}, got {exc.actual!r}, "

@@ -60,53 +60,49 @@ def catalan_number(k: int, n: int) -> int:
     return quotient
 
 
-def _check_cap(k: int, n: int, cap: int) -> None:
+def _check_cap(k: int, n: int) -> None:
     total = catalan_number(k, n)
-    if total > cap:
+    if total > DEFAULT_PATH_CAP:
         raise TooLargeError(
-            f"(k={k}, n={n}) has {total} paths, more than the cap of {cap}"
+            f"(k={k}, n={n}) has {total} paths, more than the cap of {DEFAULT_PATH_CAP}"
         )
 
 
-def sswcn_brute(k: int, n: int, cap: int = DEFAULT_PATH_CAP) -> WeightPolynomial:
+def sswcn_brute(k: int, n: int) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of
     length k*n, as a symbolic polynomial."""
-    _check_cap(k, n, cap)
+    _check_cap(k, n)
     poly = WeightPolynomial()
     for path in enumerate_paths(k, n):
         poly.add_monomial(sswt(path))
     return poly
 
 
-def bounded_sswcn_brute(
-    k: int, u: int, n: int, cap: int = DEFAULT_PATH_CAP
-) -> WeightPolynomial:
+def bounded_sswcn_brute(k: int, u: int, n: int) -> WeightPolynomial:
     """Like `sswcn_brute`, restricted to paths of semisymmetric height <= u."""
-    _check_cap(k, n, cap)
+    _check_cap(k, n)
     poly = WeightPolynomial()
     for path in enumerate_paths(k, n, height_bound=u):
         poly.add_monomial(sswt(path))
     return poly
 
 
-def sub_sswcn_brute(
-    k: int, u: int, a: Point, n: int, cap: int = DEFAULT_PATH_CAP
-) -> WeightPolynomial:
+def sub_sswcn_brute(k: int, u: int, a: Point, n: int) -> WeightPolynomial:
     """Sum of weights over height-bounded sub-ballot paths from *a* to (n,...,n)."""
     a = tuple(a)
     if not is_ballot_point(a) or ss_height_point(a) > u:
         raise InvalidStateError(f"{a} is not a ballot point with height <= {u}")
-    _check_cap(k, n, cap)
+    _check_cap(k, n)
     poly = WeightPolynomial()
     for path in enumerate_sub_paths(k, a, (n,) * k, height_bound=u):
         poly.add_monomial(sswt(path))
     return poly
 
 
-def legacy_wcn_brute(k: int, n: int, cap: int = DEFAULT_PATH_CAP) -> WeightPolynomial:
+def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
     """Sum of legacy weights wt_b over all balanced ballot paths; kept for
     distinctness checks against the semisymmetric generalization."""
-    _check_cap(k, n, cap)
+    _check_cap(k, n)
     poly = WeightPolynomial()
     for path in enumerate_paths(k, n):
         poly.add_monomial(legacy_wt(path))
@@ -161,7 +157,7 @@ def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     refused: `verify_min_u_formulas` asks for the two smallest bounds,
     where the sum has a single term."""
     if u is None:
-        _check_cap(k, n, DEFAULT_PATH_CAP)
+        _check_cap(k, n)
     return _polynomial(lattice_sum(k, n, ((), ()), _weight_step(k), height_bound=u))
 
 

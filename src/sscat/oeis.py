@@ -27,6 +27,7 @@ from .errors import (
 OEIS_URL_TEMPLATE = "https://oeis.org/{id}/b{digits}.txt"
 CACHE_DIR_ENV = "OEIS_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".oeis-cache"
+FETCH_TIMEOUT_S = 30.0
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _ID_PATTERN = re.compile(r"^A\d{6,}$")
 
@@ -99,7 +100,6 @@ def fetch_bfile(
     id: str,
     cache_dir: Optional[str] = None,
     offline: bool = False,
-    timeout: float = 30.0,
 ) -> SequenceRecord:
     """Load a sequence, consulting the cache, then bundled fixtures, then
     (unless offline) https://oeis.org.  Fetched bodies are cached verbatim
@@ -123,7 +123,7 @@ def fetch_bfile(
 
     url = OEIS_URL_TEMPLATE.format(id=id, digits=id[1:])
     try:
-        with urlopen(url, timeout=timeout) as response:
+        with urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             status = response.status
             text = response.read().decode()
     except HTTPError as exc:

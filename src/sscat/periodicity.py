@@ -29,7 +29,7 @@ from .counting import (
 from .errors import FormulaViolationError, TooLargeError
 from .weights import WeightAssignment
 
-DEFAULT_SEARCH_HORIZON = 64
+SEARCH_HORIZON = 64
 
 # Budget of one baby-step giant-step round of the period search: its work
 # in multiply-adds (B giant steps of a dense S x S matrix plus one
@@ -229,18 +229,15 @@ def bounded_sequence_mod(
 
 
 def check_entrywise_divisibility(
-    w: WeightAssignment,
-    m: int,
-    k: int,
-    search_horizon: int = DEFAULT_SEARCH_HORIZON,
+    w: WeightAssignment, m: int, k: int
 ) -> Optional[tuple[int, int]]:
-    """Smallest u within the horizon such that b_u..b_{u+k-1} are all
+    """Smallest u <= SEARCH_HORIZON such that b_u..b_{u+k-1} are all
     divisible by m (condition 1) or c_{u-1}..c_{u+k-2} are (condition 2).
 
     Returns (u, condition) or None.  Either condition certifies that the
     unbounded count mod m equals the (u+k-2)-bounded count mod m.
     """
-    for u in range(search_horizon + 1):
+    for u in range(SEARCH_HORIZON + 1):
         if all(w.b(u + i) % m == 0 for i in range(k)):
             return u, 1
         if u >= 1 and all(w.c(u - 1 + i) % m == 0 for i in range(k)):
@@ -249,18 +246,15 @@ def check_entrywise_divisibility(
 
 
 def check_pairwise_product_divisibility(
-    w: WeightAssignment,
-    m: int,
-    k: int,
-    search_horizon: int = DEFAULT_SEARCH_HORIZON,
+    w: WeightAssignment, m: int, k: int
 ) -> Optional[int]:
-    """Smallest u within the horizon such that b_j * b_j' is divisible by m
+    """Smallest u <= SEARCH_HORIZON such that b_j * b_j' is divisible by m
     for every pair of distinct j, j' in {u, ..., u+2k-1}.
 
     Certifies that the unbounded count mod m equals the (u+2k-1)-bounded
     count mod m.
     """
-    for u in range(search_horizon + 1):
+    for u in range(SEARCH_HORIZON + 1):
         values = [w.b(u + i) % m for i in range(2 * k)]
         if all(x * y % m == 0 for x, y in combinations(values, 2)):
             return u
@@ -286,24 +280,20 @@ class TruncationCertificate:
 
 
 def unbounded_sswcn_mod(
-    k: int,
-    n: int,
-    w: WeightAssignment,
-    m: int,
-    search_horizon: int = DEFAULT_SEARCH_HORIZON,
+    k: int, n: int, w: WeightAssignment, m: int
 ) -> tuple[int, TruncationCertificate]:
     """The unbounded weighted count mod m, via a certified height
     truncation when a divisibility hypothesis holds, otherwise by the
     lattice DP mod m."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    entrywise = check_entrywise_divisibility(w, m, k, search_horizon)
+    entrywise = check_entrywise_divisibility(w, m, k)
     if entrywise is not None:
         u, condition = entrywise
         bound = u + k - 2
         cert = TruncationCertificate("entrywise", u, bound, condition)
     else:
-        u = check_pairwise_product_divisibility(w, m, k, search_horizon)
+        u = check_pairwise_product_divisibility(w, m, k)
         if u is None:
             value = sswcn_lattice_value(k, n, w, m)
             return value, TruncationCertificate("lattice", None, None)

@@ -12,11 +12,10 @@ enumeration is the test oracle for both.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import backend
 from .counting import (
@@ -54,21 +53,6 @@ class TriangleRow:
             "n": self.n,
             "entries": {str(s): str(c) for s, c in sorted(self.entries.items())},
         }
-
-    def csv_lines(self) -> list[str]:
-        return [
-            f"{self.k},{self.n},{s},{c}" for s, c in sorted(self.entries.items())
-        ]
-
-
-CSV_HEADER = "k,n,stat,count"
-
-
-def rows_to_csv(rows: Iterable[TriangleRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.extend(row.csv_lines())
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +349,7 @@ def verify_narayana_one_peak(k: int, n: int) -> VerificationRecord:
     )
 
 
-def scan_power_of_two(k_max: int, u_max: int, n_max: int = 6) -> list[tuple[int, int]]:
+def scan_power_of_two(k_max: int, u_max: int, n_max: int) -> list[tuple[int, int]]:
     """Small-(k, u) scan for bounds where the bounded count looks like
     2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim."""
     if n_max < 1:
@@ -402,7 +386,3 @@ def run_verifiers(name: str = "all") -> list[VerificationRecord]:
     if name not in ALL_VERIFIERS:
         raise ValueError(f"unknown verifier {name!r}; choose from {sorted(ALL_VERIFIERS)} or 'all'")
     return ALL_VERIFIERS[name]()
-
-
-def records_to_json(records: Iterable[VerificationRecord]) -> str:
-    return json.dumps([r.to_json() for r in records], indent=2)

@@ -88,11 +88,12 @@ def test_legacy_distinct_from_semisymmetric_at_4_1():
     assert semisymmetric != legacy
 
 
-def test_path_cap():
+def test_path_cap(monkeypatch):
+    monkeypatch.setattr(counting, "DEFAULT_PATH_CAP", 10)
     with pytest.raises(TooLargeError):
-        sswcn_brute(3, 3, cap=10)
+        sswcn_brute(3, 3)
     with pytest.raises(TooLargeError):
-        bounded_sswcn_brute(3, 4, 3, cap=10)
+        bounded_sswcn_brute(3, 4, 3)
 
 
 def test_state_space_3_5_golden():

@@ -1,11 +1,13 @@
 """The lattice DP against brute-force path enumeration, its oracle.
 
 Every (k, n) with 2 <= k <= 6 and at most ORACLE_PATHS balanced paths is
-enumerated once; each path's height, peak count and weight come from the
-per-path definitions (`ss_height_path`, `count_ss_peaks`, `sswt`), and the
-bounded sums for every u are bucketed from the same pass.  The oracle
-costs about 0.1 ms per path, so the 1e5 limit keeps this file near a
-minute.
+walked once by a depth-first search written here, with its own ballot
+rule.  Each step updates the height, the running maximum, whether the
+last step was up, the peak count and the B/C indices of the weight, so
+no path is rebuilt to read them; the bounded sums for every u are
+bucketed from the same pass.  On sizes with at most CHECKED_PATHS paths
+the search's per-path values are checked against the per-path
+definitions (`ss_height_path`, `count_ss_peaks`, `sswt`).
 """
 
 import random
@@ -15,14 +17,16 @@ from functools import lru_cache
 import pytest
 
 from sscat import (
+    BallotPath,
+    WeightMonomial,
     WeightPolynomial,
     catalan_number,
     count_ss_peaks,
-    enumerate_paths,
     height_histogram,
     max_path_height,
     peak_histogram,
     ss_height_path,
+    ss_height_point,
     sswcn_lattice,
     sswcn_lattice_value,
     sswt,
@@ -34,6 +38,7 @@ from sscat.paths import ballot_successors
 from tests.conftest import random_assignment
 
 ORACLE_PATHS = 10**5
+CHECKED_PATHS = 1000
 
 SIZES = [
     (k, n)
@@ -43,17 +48,68 @@ SIZES = [
 ]
 
 
+def walk(k, n, visit):
+    """Call visit(steps, height, peaks, b_indices, c_indices) once for each
+    balanced ballot path of length k*n, depth first, with the path's
+    height, peak count and weight indices."""
+    # the height gained by a step in each direction, from the point height
+    rise = [ss_height_point(tuple(int(i == d) for i in range(k))) for d in range(k)]
+    up, down_from = k // 2, (k + 1) // 2 + 1
+    x, steps, b, c = [0] * k, [], [], []
+
+    def step(height, top, last_up, peaks):
+        if len(steps) == k * n:
+            visit(steps, top, peaks, b, c)
+            return
+        for d in range(1, k + 1):
+            # x + e_d stays a ballot point inside the n-box
+            if x[d - 1] >= (n if d == 1 else x[d - 2]):
+                continue
+            after = height + rise[d - 1]
+            x[d - 1] += 1
+            steps.append(d)
+            indices, index = (b, height) if d <= up else (c, after)
+            indices.append(index)
+            step(after, max(top, after), d <= up, peaks + (last_up and d >= down_from))
+            indices.pop()
+            steps.pop()
+            x[d - 1] -= 1
+
+    step(0, 0, False, 0)
+
+
 @lru_cache(maxsize=None)
 def oracle(k, n):
     """Per-height weight sums and the two histograms, by enumeration."""
     by_height: dict[int, WeightPolynomial] = {}
     heights, peaks = Counter(), Counter()
-    for path in enumerate_paths(k, n):
-        h = ss_height_path(path)
-        heights[h] += 1
-        peaks[count_ss_peaks(path)] += 1
-        by_height.setdefault(h, WeightPolynomial()).add_monomial(sswt(path))
+
+    def visit(steps, height, peak_count, b, c):
+        heights[height] += 1
+        peaks[peak_count] += 1
+        by_height.setdefault(height, WeightPolynomial()).add_monomial(
+            WeightMonomial.from_indices(b, c)
+        )
+
+    walk(k, n, visit)
     return by_height, dict(heights), dict(peaks)
+
+
+@pytest.mark.parametrize(
+    "k,n", [(k, n) for k, n in SIZES if catalan_number(k, n) <= CHECKED_PATHS]
+)
+def test_walk_matches_the_per_path_definitions(k, n):
+    seen = []
+
+    def visit(steps, height, peaks, b, c):
+        path = BallotPath(k, tuple(steps))
+        assert height == ss_height_path(path)
+        assert peaks == count_ss_peaks(path)
+        assert WeightMonomial.from_indices(b, c) == sswt(path)
+        seen.append(path.steps)
+
+    walk(k, n, visit)
+    assert len(seen) == len(set(seen)) == catalan_number(k, n)
 
 
 def test_ballot_successors():

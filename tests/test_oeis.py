@@ -16,6 +16,7 @@ from sscat import (
     fetch_bfile,
     parse_bfile,
 )
+from sscat.oeis import FETCH_TIMEOUT_S
 
 
 def test_parse_emit_round_trip():
@@ -112,8 +113,8 @@ def _serve(monkeypatch, reply):
 
 def test_fetch_over_network_parses_and_caches(tmp_path, monkeypatch):
     urls = _serve(monkeypatch, b"# A999999\n0 3\n1 5\n")
-    record = fetch_bfile("A999999", cache_dir=str(tmp_path), timeout=7.0)
-    assert urls == [("https://oeis.org/A999999/b999999.txt", 7.0)]
+    record = fetch_bfile("A999999", cache_dir=str(tmp_path))
+    assert urls == [("https://oeis.org/A999999/b999999.txt", FETCH_TIMEOUT_S)]
     assert record.values == (3, 5)
     assert (tmp_path / "b999999.txt").read_text() == "# A999999\n0 3\n1 5\n"
     # the cached copy now answers without the network

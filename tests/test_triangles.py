@@ -18,7 +18,7 @@ from sscat import (
     verify_recurrence_3_4,
     verify_rightmost_entries,
 )
-from sscat.triangles import CSV_HEADER, records_to_json, rows_to_csv
+from sscat.cli import main
 from tests.conftest import random_assignment
 
 # The bundled b-files A393573 (HEIGHT_ROWS_K3), A393594 (HEIGHT_ROWS_K4),
@@ -121,14 +121,14 @@ def test_height_row_zero():
     assert row.entries == {0: 1}
 
 
-def test_row_json_and_csv():
+def test_row_json_and_csv(capsys):
     row = height_triangle_row(3, 2)
     data = row.to_json()
     assert data["entries"] == {"2": "1", "4": "4"}
     json.dumps(data)  # must be serializable
-    csv = rows_to_csv([row, narayana_row(3, 2)])
-    lines = csv.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert main(["triangle", "height", "3", "--rows", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "k,n,stat,count"
     assert "3,2,2,1" in lines and "3,2,4,4" in lines
 
 
@@ -193,10 +193,12 @@ def test_verifier_failure_raises():
     assert "values differ" in str(excinfo.value)
 
 
-def test_run_verifiers_all_and_json():
+def test_run_verifiers_all_and_json(capsys):
     records = run_verifiers("all")
     assert records
-    parsed = json.loads(records_to_json(records))
+    assert main(["verify", "all", "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed == [r.to_json() for r in records]
     assert all(r["passed"] for r in parsed)
     with pytest.raises(ValueError):
         run_verifiers("no-such-family")
