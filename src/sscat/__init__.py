@@ -11,8 +11,8 @@ from .counting import (
     DEFAULT_PATH_CAP,
     StateSpace,
     TransferMatrix,
-    bounded_catalan,
     bounded_sswcn_brute,
+    bounded_sequence,
     bounded_sswcn_dp,
     build_state_space,
     catalan_number,
@@ -61,7 +61,6 @@ from .paths import (
 from .periodicity import (
     PeriodReport,
     TruncationCertificate,
-    bounded_sequence_mod,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
     detect_eventual_period,

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -79,8 +80,9 @@ def _parse_weight_sequence(text: Optional[str]) -> tuple[tuple[int, ...], int]:
 
 
 def _weights(args) -> WeightAssignment:
-    """The weights parsed from --b and --c, each a (prefix, fill) pair."""
-    return WeightAssignment(*args.b, *args.c)
+    """The weights parsed from --b and --c, each a (prefix, fill) pair; an
+    absent option leaves its sequence all ones."""
+    return WeightAssignment(*(args.b or ((), 1)), *(args.c or ((), 1)))
 
 
 def _parse_tableau(text: str) -> Tableau:
@@ -158,13 +160,26 @@ def _cmd_sswcn(args) -> int:
         return 0
     if args.format == "csv":
         raise SscatError("csv output is not defined for sswcn --symbolic")
+    if args.b or args.c:
+        raise SscatError(
+            "--b and --c do not apply to sswcn --symbolic, which keeps B and C as variables"
+        )
     # Either form of the polynomial can take hundreds of MB: build only the
     # one that is printed.
     poly = sswcn_lattice(args.k, args.n)
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "n": args.n, "polynomial": poly.to_json()}, indent=2))
-    else:
+    if args.format != "json":
         print(poly.text())
+        return 0
+    # The bytes of json.dumps(..., indent=2) of the whole document, written
+    # one term at a time so that the term list is never held.  A balanced
+    # path always exists, so the list is never empty.
+    print(f'{{\n  "k": {args.k},\n  "n": {args.n},\n  "polynomial": [', end="")
+    encode = json.JSONEncoder(indent=2).encode
+    sep = "\n    "
+    for term in poly.to_json():
+        print(sep + encode(term).replace("\n", "\n    "), end="")
+        sep = ",\n    "
+    print("\n  ]\n}")
     return 0
 
 
@@ -197,7 +212,7 @@ def _cmd_period(args) -> int:
         f"preperiod={report.preperiod} vector_period={report.vector_period} "
         f"scalar_period={report.scalar_period} mod={report.modulus}"
     )
-    _emit(args, plain, report.to_json())
+    _emit(args, plain, asdict(report))
     return 0
 
 
@@ -211,7 +226,7 @@ def _cmd_verify(args) -> int:
 # Generator name: (number of parameters, first index n, term(n, *params)).
 _GENERATORS = {
     "catalan": (1, 0, lambda n, k: catalan_number(k, n)),
-    "bounded": (2, 0, lambda n, k, u: triangles.bounded_catalan(k, u, n)),
+    "bounded": (2, 0, lambda n, k, u: bounded_sswcn_dp(k, u, n)),
     "dprime-3-2n": (
         0,
         1,
@@ -258,7 +273,7 @@ def _cmd_oeis_check(args) -> int:
     _emit(
         args,
         f"{args.id} vs {args.generator}: {verdict} over {report.overlap_length} terms",
-        {"id": args.id, "generator": args.generator, **report.to_json()},
+        {"id": args.id, "generator": args.generator, **asdict(report)},
     )
     return 0 if report.match else 1
 
@@ -307,14 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     no_csv = ("plain", "json")
 
     def add_weights(p):
-        # argparse also parses the string default, so an absent option
-        # reads as ((), 1), and a malformed one is a usage error (exit 2).
+        # An absent option reads as None, and a malformed one is a usage
+        # error (exit 2).
         for name, example in (("--b", "1,0,2,fill=0"), ("--c", "1,1,fill=1")):
             p.add_argument(
-                name,
-                type=_parse_weight_sequence,
-                default="",
-                help=f"{name[2:]} weights, e.g. {example}",
+                name, type=_parse_weight_sequence, help=f"{name[2:]} weights, e.g. {example}"
             )
 
     p = add("enumerate", _cmd_enumerate, "list balanced ballot paths", FORMATS)

@@ -1,13 +1,12 @@
 """Exact counting: closed formula, lattice DP, transfer-matrix DP, and
 brute force.
 
-The routes validate each other: `catalan_number` is the hook-length
-formula, the `sswcn_lattice*` functions run the layered DP over the ballot
-points of the box, `bounded_sswcn_dp` iterates the boundary-state transfer
-matrix (through `_orbit`; the periodicity module shares its sparse rows
-and matrix-vector step), whose entries the same layered DP sums over the
-k-step blocks from each state, and the `*_brute` functions, the test oracle, sum weights over explicitly
-enumerated paths.  Wherever their domains overlap they must agree exactly.
+`catalan_number` is the hook-length formula.  The `sswcn_lattice*`
+functions run the layered DP over the ballot points of the box.
+`bounded_sswcn_dp` and `bounded_sequence` iterate the boundary-state
+transfer matrix, whose entries the same DP sums over the k-step blocks
+from each state.  The `*_brute` functions, the test oracle, sum weights
+over enumerated paths.  Wherever these routes overlap they agree exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,12 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Optional
 
-from .errors import FormulaViolationError, InvalidStateError, TooLargeError
+from .errors import (
+    FormulaViolationError,
+    InvalidDimensionError,
+    InvalidStateError,
+    TooLargeError,
+)
 from .paths import (
     Point,
     enumerate_paths,
@@ -61,11 +65,17 @@ def catalan_number(k: int, n: int) -> int:
 
 
 def _check_cap(k: int, n: int) -> None:
-    total = catalan_number(k, n)
-    if total > DEFAULT_PATH_CAP:
-        raise TooLargeError(
-            f"(k={k}, n={n}) has {total} paths, more than the cap of {DEFAULT_PATH_CAP}"
-        )
+    """Raise `TooLargeError` when (k, n) has more than `DEFAULT_PATH_CAP`
+    paths.  The count never decreases in n, since appending the steps
+    1..k keeps a path balanced and ballot, so the first m <= n over the cap
+    decides (m <= 16 for every k >= 2) without the (kn)!-sized count."""
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    for m in range(n + 1):
+        if catalan_number(k, m) > DEFAULT_PATH_CAP:
+            raise TooLargeError(
+                f"(k={k}, n={n}) has more paths than the cap of {DEFAULT_PATH_CAP}"
+            )
 
 
 def sswcn_brute(k: int, n: int) -> WeightPolynomial:
@@ -229,11 +239,16 @@ class TransferMatrix:
 
     def evaluated(
         self, w: WeightAssignment, modulus: Optional[int] = None
-    ) -> list[list[int]]:
-        """Every entry evaluated at *w* (mod *modulus* when given), as a
-        dense list of rows; zero polynomials give 0 without evaluation."""
+    ) -> list[list[tuple[int, int]]]:
+        """The matrix evaluated at *w* (mod *modulus* when given), each row
+        as its nonzero (column, value) pairs; zero polynomials are skipped
+        without evaluation."""
         return [
-            [poly.evaluate(w, modulus) if poly.terms else 0 for poly in row]
+            [
+                (j, value)
+                for j, poly in enumerate(row)
+                if poly.terms and (value := poly.evaluate(w, modulus))
+            ]
             for row in self.entries
         ]
 
@@ -272,19 +287,6 @@ def _transfer_matrix(k: int, u: int) -> TransferMatrix:
     return TransferMatrix(StateSpace(k, u, tuple(states)), entries)
 
 
-def _sparse_rows(
-    k: int, u: int, w: WeightAssignment, modulus: Optional[int]
-) -> list[list[tuple[int, int]]]:
-    """The u-bounded transfer matrix T evaluated at *w* (mod *modulus* when
-    given), each row as its nonzero (column, value) pairs."""
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return [
-        [(j, value) for j, value in enumerate(row) if value]
-        for row in _transfer_matrix(k, u).evaluated(w, modulus)
-    ]
-
-
 def _apply(
     rows: list[list[tuple[int, int]]], vector: tuple[int, ...], modulus: Optional[int]
 ) -> tuple[int, ...]:
@@ -300,10 +302,10 @@ def _orbit(
     """The boundary vectors gamma_0 = e_0, gamma_n = T gamma_{n-1}, where T
     is the u-bounded transfer matrix evaluated at *w*; every vector is
     reduced mod *modulus* when one is given.  Component 0 of gamma_n is the
-    u-bounded weighted count of length k*n.
-
-    T is evaluated once, and each row keeps only its nonzero entries."""
-    rows = _sparse_rows(k, u, w, modulus)
+    u-bounded weighted count of length k*n.  T is evaluated once."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    rows = _transfer_matrix(k, u).evaluated(w, modulus)
     gamma = (1 if modulus is None else 1 % modulus,) + (0,) * (len(rows) - 1)
     while True:
         yield gamma
@@ -324,10 +326,16 @@ def bounded_sswcn_dp(
     return next(islice(_orbit(k, u, w, modulus), n, None))[0]
 
 
-def bounded_catalan(k: int, u: int, n: int) -> int:
-    """Number of balanced ballot paths of length k*n with semisymmetric
-    height at most u (all-ones weights, exact integers)."""
-    return bounded_sswcn_dp(k, u, n)
+def bounded_sequence(
+    k: int,
+    u: int,
+    count: int,
+    w: WeightAssignment = ALL_ONES,
+    modulus: Optional[int] = None,
+) -> list[int]:
+    """The u-bounded weighted counts of lengths 0, k, ..., k*(count-1)
+    (mod *modulus* when given), from one pass over `_orbit`."""
+    return [gamma[0] for gamma in islice(_orbit(k, u, w, modulus), count)]
 
 
 def max_path_height(k: int, n: int) -> int:

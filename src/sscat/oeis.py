@@ -146,14 +146,6 @@ class ComparisonReport:
     first_mismatch: Optional[int]
     match: bool
 
-    def to_json(self) -> dict:
-        return {
-            "overlap_start": self.overlap_start,
-            "overlap_length": self.overlap_length,
-            "first_mismatch": self.first_mismatch,
-            "match": self.match,
-        }
-
 
 def compare_sequences(
     computed: SequenceRecord, reference: SequenceRecord

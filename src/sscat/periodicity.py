@@ -16,16 +16,10 @@ one, the lattice DP mod m gives the term directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Optional
 
-from .counting import (
-    _apply,
-    _orbit,
-    _sparse_rows,
-    bounded_sswcn_dp,
-    sswcn_lattice_value,
-)
+from .counting import _apply, _transfer_matrix, bounded_sswcn_dp, sswcn_lattice_value
 from .errors import FormulaViolationError, TooLargeError
 from .weights import WeightAssignment
 
@@ -58,16 +52,6 @@ class PeriodReport:
     modulus: int
     verified_horizon: int
     certificate: str = "vector-orbit cycle"
-
-    def to_json(self) -> dict:
-        return {
-            "preperiod": self.preperiod,
-            "vector_period": self.vector_period,
-            "scalar_period": self.scalar_period,
-            "modulus": self.modulus,
-            "verified_horizon": self.verified_horizon,
-            "certificate": self.certificate,
-        }
 
 
 def _compose(a: Rows, b: Rows, m: int) -> Rows:
@@ -134,7 +118,7 @@ def detect_eventual_period(
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    rows = _sparse_rows(k, u, w, m)
+    rows = _transfer_matrix(k, u).evaluated(w, m)
     size = len(rows)
     powers = [rows]  # powers[i] = T^(2^i) mod m
 
@@ -221,13 +205,6 @@ def _cycle_length(
         r += 1
 
 
-def bounded_sequence_mod(
-    k: int, u: int, count: int, w: WeightAssignment = WeightAssignment(), m: int = 2
-) -> list[int]:
-    """First *count* terms of the u-bounded weighted count mod m."""
-    return [gamma[0] for gamma in islice(_orbit(k, u, w, m), count)]
-
-
 def check_entrywise_divisibility(
     w: WeightAssignment, m: int, k: int
 ) -> Optional[tuple[int, int]]:
@@ -269,14 +246,6 @@ class TruncationCertificate:
     u: Optional[int]
     bound: Optional[int]
     condition: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "u": self.u,
-            "bound": self.bound,
-            "condition": self.condition,
-        }
 
 
 def unbounded_sswcn_mod(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import backend
 from .counting import (
-    bounded_catalan,
+    bounded_sequence,
     bounded_sswcn_dp,
     catalan_number,
     max_path_height,
@@ -71,7 +71,7 @@ def height_triangle_row(k: int, n: int) -> TriangleRow:
     by_difference: dict[int, int] = {}
     previous = 0
     for u in range(min_path_height(k), max_path_height(k, n) + 1):
-        current = bounded_catalan(k, u, n)
+        current = bounded_sswcn_dp(k, u, n)
         if current != previous:
             by_difference[u] = current - previous
         previous = current
@@ -183,7 +183,7 @@ def verify_recurrence_3_4(
     for w in assignments:
         w = _b_only(w)
         b0, b2 = w.b(0), w.b(2)
-        values = [bounded_sswcn_dp(3, 4, n, w) for n in range(n_max + 1)]
+        values = bounded_sequence(3, 4, n_max + 1, w)
         _expect(values[0] == 1, "a(0) must be 1", 1, values[0])
         _expect(values[1] == b0, "a(1) must be b0", b0, values[1])
         for n in range(2, n_max + 1):
@@ -224,14 +224,14 @@ def verify_closed_4_6_and_5_8(
         for k, u, top in ((4, 6, w.b(3)), (5, 8, w.b(4))):
             base = w.b(0) * top
             growth = top * top + base
+            values = bounded_sequence(k, u, n_max + 1, w)
             for n in range(1, n_max + 1):
                 expected = base * growth ** (n - 1)
-                actual = bounded_sswcn_dp(k, u, n, w)
                 _expect(
-                    actual == expected,
+                    values[n] == expected,
                     f"closed form fails at (k={k}, u={u}, n={n})",
                     expected,
-                    actual,
+                    values[n],
                 )
             checks.append(
                 f"(k={k}, u={u}): b0*b{k - 1}*(b{k - 1}^2 + b0 b{k - 1})^(n-1), n <= {n_max}"
@@ -354,10 +354,11 @@ def scan_power_of_two(k_max: int, u_max: int, n_max: int) -> list[tuple[int, int
     2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
+    powers = [2 ** (n - 1) for n in range(1, n_max + 1)]
     hits = []
     for k in range(2, k_max + 1):
         for u in range(min_path_height(k), u_max + 1):
-            if all(bounded_catalan(k, u, n) == 2 ** (n - 1) for n in range(1, n_max + 1)):
+            if bounded_sequence(k, u, n_max + 1)[1:] == powers:
                 hits.append((k, u))
     return hits
 

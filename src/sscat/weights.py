@@ -14,7 +14,7 @@ and prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidDimensionError
 from .paths import BallotPath, Point, height_coefficients
@@ -220,16 +220,15 @@ class WeightPolynomial:
     def __repr__(self) -> str:
         return f"WeightPolynomial({self.text()})"
 
-    def to_json(self) -> list[dict]:
-        """JSON form: coefficients as decimal strings, exponent maps per block."""
-        return [
-            {
+    def to_json(self) -> Iterator[dict]:
+        """JSON form, one term at a time in `text` order: coefficients as
+        decimal strings, exponent maps per block."""
+        for mono, coeff in self._sorted_terms():
+            yield {
                 "coeff": str(coeff),
                 "b": {str(i): e for i, e in mono.b},
                 "c": {str(j): e for j, e in mono.c},
             }
-            for mono, coeff in self._sorted_terms()
-        ]
 
 
 @dataclass(frozen=True)

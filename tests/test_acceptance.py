@@ -10,8 +10,7 @@ import random
 from sscat import (
     ALL_ONES,
     BallotPath,
-    bounded_catalan,
-    bounded_sequence_mod,
+    bounded_sequence,
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
@@ -70,7 +69,7 @@ def test_criterion_2_symbolic_golden():
 def test_criterion_3_oeis_prefixes():
     a015448 = fetch_bfile("A015448", offline=True)
     for n in range(13):
-        assert bounded_catalan(3, 4, n) == a015448.value_at(n)
+        assert bounded_sswcn_dp(3, 4, n) == a015448.value_at(n)
 
     # every bundled term, from the lattice DP's height histogram
     a274969 = fetch_bfile("A274969", offline=True)
@@ -141,7 +140,7 @@ def test_criterion_7_periodicity():
                 report = detect_eventual_period(k, u, m=m)
                 t, omega = report.preperiod, report.vector_period
                 horizon = t + 4 * omega
-                seq = bounded_sequence_mod(k, u, horizon + 1, m=m)
+                seq = bounded_sequence(k, u, horizon + 1, modulus=m)
                 for n in range(t, horizon - omega + 1):
                     assert seq[n] == seq[n + omega]
                 if (k, u) == (3, 4):

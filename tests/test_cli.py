@@ -17,6 +17,7 @@ from sscat import (
     bounded_sswcn_dp,
     cli,
     enumerate_paths,
+    sswcn_lattice,
 )
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
@@ -220,6 +221,38 @@ def test_sswcn_symbolic_and_numeric(capsys):
     assert out.strip() == "5"
 
 
+@pytest.mark.parametrize("k,n", [(2, 0), (3, 2), (4, 3)])
+def test_sswcn_symbolic_json_is_written_term_by_term(capsys, k, n):
+    code, out, _ = run(capsys, "sswcn", str(k), str(n), "--symbolic", "--format", "json")
+    poly = list(sswcn_lattice(k, n).to_json())
+    assert code == 0
+    assert out == json.dumps({"k": k, "n": n, "polynomial": poly}, indent=2) + "\n"
+
+
+def test_sswcn_symbolic_json_prints_each_term_as_it_is_made(capsys, monkeypatch):
+    terms = list(sswcn_lattice(3, 2).to_json())
+
+    def two_then_fail(poly):
+        yield from terms[:2]
+        raise RuntimeError("stopped after two terms")
+
+    monkeypatch.setattr(WeightPolynomial, "to_json", two_then_fail)
+    with pytest.raises(RuntimeError):
+        main(["sswcn", "3", "2", "--symbolic", "--format", "json"])
+    whole = json.dumps({"k": 3, "n": 2, "polynomial": terms}, indent=2)
+    printed = capsys.readouterr().out
+    assert printed == whole[: len(printed)] and printed.count('"coeff"') == 2
+
+
+def test_sswcn_symbolic_refuses_past_the_path_cap(capsys):
+    # the cap is decided without the path count, which at these sizes has
+    # thousands of digits
+    for k, n in ((3, 2500), (3, 3100), (3, 32000), (2, 200000)):
+        code, out, err = run(capsys, "sswcn", str(k), str(n), "--symbolic")
+        assert code == 2 and not out
+        assert err == f"error: (k={k}, n={n}) has more paths than the cap of 10000000\n"
+
+
 def test_triangle(capsys):
     code, out, _ = run(capsys, "triangle", "height", "3", "--rows", "2")
     assert code == 0 and "2:1 4:4" in out
@@ -296,9 +329,13 @@ def test_invalid_arguments_exit_2(capsys):
         ("triangle", "height", "3", "--rows", "-1"),
         ("scan-pow2", "--k-max", "3", "--u-max", "3", "--n-max", "0"),
         ("scan-pow2", "--n-max", "-1"),
+        ("sswcn", "3", "2", "--symbolic", "--b", "5,fill=7"),
+        ("sswcn", "3", "2", "--symbolic", "--c", "2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("error: ")
+        if "--symbolic" in argv:
+            assert "--b and --c do not apply to sswcn --symbolic" in err
     # a bound below the minimum attainable height is not an error: there
     # are simply no paths
     code, out, _ = run(capsys, "bounded", "3", "1", "2")
@@ -467,6 +504,7 @@ ARGV = st.one_of(
 # sswcn with csv, which the derandomized draw happens to miss
 @example(("sswcn", "3", "2", "--format", "csv"))
 @example(("sswcn", "3", "2", "--symbolic", "--format", "csv"))
+@example(("sswcn", "3", "2", "--symbolic", "--b", "5,fill=7"))
 def test_every_command_exits_0_or_2(tmp_path_factory, argv):
     if argv[0] == "oeis-check":  # an empty cache: only the bundled b-files
         argv += ("--cache-dir", str(tmp_path_factory.getbasetemp() / "no-cache"))

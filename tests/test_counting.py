@@ -7,11 +7,11 @@ import pytest
 from sscat import (
     ALL_ONES,
     BallotPath,
+    InvalidDimensionError,
     InvalidStateError,
     TooLargeError,
     WeightAssignment,
     WeightPolynomial,
-    bounded_catalan,
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
@@ -64,7 +64,7 @@ def test_bounded_dp_matches_dense_iteration():
         w = random_assignment(rng)
         modulus = rng.choice((None, 1, 2, 7, 30))
         n = rng.randrange(12)
-        matrix = _transfer_matrix(k, u).evaluated(w)
+        matrix = [[e.evaluate(w) for e in row] for row in _transfer_matrix(k, u).entries]
         gamma = [1] + [0] * (len(matrix) - 1)
         for _ in range(n):
             gamma = [sum(a * g for a, g in zip(row, gamma)) for row in matrix]
@@ -96,6 +96,33 @@ def test_path_cap(monkeypatch):
         bounded_sswcn_brute(3, 4, 3)
 
 
+def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
+    # the path count never decreases in n, so no count past the first one
+    # over the cap is needed, however large n is
+    asked = []
+
+    def recorded(k, n):
+        asked.append(n)
+        return catalan_number(k, n)
+
+    monkeypatch.setattr(counting, "catalan_number", recorded)
+    for k, n in ((2, 200000), (3, 2500), (3, 32000), (5, 10**9)):
+        asked.clear()
+        with pytest.raises(TooLargeError) as raised:
+            counting.sswcn_lattice(k, n)
+        first = next(m for m in range(17) if catalan_number(k, m) > counting.DEFAULT_PATH_CAP)
+        assert asked == list(range(first + 1)), (k, n)
+        assert str(raised.value) == (
+            f"(k={k}, n={n}) has more paths than the cap of {counting.DEFAULT_PATH_CAP}"
+        )
+    asked.clear()
+    assert counting.sswcn_lattice(3, 2).evaluate(ALL_ONES) == 5
+    assert asked == [0, 1, 2]
+    with pytest.raises(InvalidDimensionError):
+        counting.sswcn_lattice(1, 10**9)
+    assert asked == [0, 1, 2]
+
+
 def test_state_space_3_5_golden():
     space = build_state_space(3, 5)
     assert space.states == ((0, 0, 0), (2, 1, 0))
@@ -110,7 +137,11 @@ def test_transfer_matrix_3_5_golden():
         ["B0*C2*C0", "B0*B2*C2 + B0*B2*C4"],
         ["C2^2*C0 + C4*C2*C0", "B2*C2^2 + 2*B2*C4*C2"],
     ]
-    assert matrix.evaluated(ALL_ONES) == [[1, 2], [2, 3]]
+    assert [[e.evaluate(ALL_ONES) for e in row] for row in matrix.entries] == [[1, 2], [2, 3]]
+    # evaluated keeps each row's nonzero (column, value) pairs
+    assert matrix.evaluated(ALL_ONES) == [[(0, 1), (1, 2)], [(0, 2), (1, 3)]]
+    assert matrix.evaluated(ALL_ONES, 2) == [[(0, 1)], [(1, 1)]]
+    assert matrix.evaluated(WeightAssignment((0,))) == [[], [(0, 2), (1, 3)]]
 
 
 def block_oracle(k, u):
@@ -193,16 +224,16 @@ def test_dp_modulus():
 def test_bounded_catalan_saturates():
     for k, n in ((2, 4), (3, 3), (4, 2)):
         top = max_path_height(k, n)
-        assert bounded_catalan(k, top, n) == catalan_number(k, n)
-        assert bounded_catalan(k, top + 5, n) == catalan_number(k, n)
+        assert bounded_sswcn_dp(k, top, n) == catalan_number(k, n)
+        assert bounded_sswcn_dp(k, top + 5, n) == catalan_number(k, n)
         if n >= 1:
-            assert bounded_catalan(k, min_path_height(k) - 1, n) == 0
-    assert [bounded_catalan(3, 4, n) for n in range(7)] == [1, 1, 5, 21, 89, 377, 1597]
+            assert bounded_sswcn_dp(k, min_path_height(k) - 1, n) == 0
+    assert [bounded_sswcn_dp(3, 4, n) for n in range(7)] == [1, 1, 5, 21, 89, 377, 1597]
 
 
 def test_bounded_catalan_monotone_in_u():
     for u in range(2, 12):
-        assert bounded_catalan(3, u, 3) <= bounded_catalan(3, u + 1, 3)
+        assert bounded_sswcn_dp(3, u, 3) <= bounded_sswcn_dp(3, u + 1, 3)
 
 
 def test_sub_sswcn_translation_invariance():

@@ -10,7 +10,7 @@ from sscat import (
     NoOverlapError,
     SequenceRecord,
     SequenceUnavailableError,
-    bounded_catalan,
+    bounded_sswcn_dp,
     catalan_number,
     compare_sequences,
     fetch_bfile,
@@ -79,7 +79,7 @@ def test_compare_sequences():
 def test_bounded_3_4_matches_fixture_prefix():
     reference = fetch_bfile("A015448", offline=True)
     computed = SequenceRecord(
-        "computed", 0, tuple(bounded_catalan(3, 4, n) for n in range(13))
+        "computed", 0, tuple(bounded_sswcn_dp(3, 4, n) for n in range(13))
     )
     assert compare_sequences(computed, reference).match
 

@@ -1,6 +1,7 @@
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import pytest
 
@@ -8,7 +9,7 @@ from sscat import (
     ALL_ONES,
     PeriodReport,
     WeightAssignment,
-    bounded_sequence_mod,
+    bounded_sequence,
     catalan_number,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
@@ -26,14 +27,14 @@ def test_detect_constant_sequence():
     # bound 2 for k=3 admits a single path with weight 1: constant ones
     report = detect_eventual_period(3, 2, m=7)
     assert report.scalar_period == 1
-    assert bounded_sequence_mod(3, 2, 6, m=7) == [1, 1, 1, 1, 1, 1]
+    assert bounded_sequence(3, 2, 6, modulus=7) == [1, 1, 1, 1, 1, 1]
 
 
 def test_detect_4_6_mod_3():
     # counts 1, 1, 2, 4, 8, ... give 1, 1, 2, 1, 2, ... mod 3
     report = detect_eventual_period(4, 6, m=3)
-    assert bounded_sequence_mod(4, 6, 7, m=3) == [1, 1, 2, 1, 2, 1, 2]
-    seq = bounded_sequence_mod(4, 6, report.verified_horizon + 1, m=3)
+    assert bounded_sequence(4, 6, 7, modulus=3) == [1, 1, 2, 1, 2, 1, 2]
+    seq = bounded_sequence(4, 6, report.verified_horizon + 1, modulus=3)
     t, omega = report.preperiod, report.scalar_period
     assert omega == 2
     for n in range(t, len(seq) - omega):
@@ -46,7 +47,7 @@ def test_detect_3_4_mod_5_matches_recurrence_oracle():
     oracle = [1, 1]
     while len(oracle) <= horizon:
         oracle.append((4 * oracle[-1] + oracle[-2]) % 5)
-    assert bounded_sequence_mod(3, 4, horizon + 1, m=5) == oracle
+    assert bounded_sequence(3, 4, horizon + 1, modulus=5) == oracle
     t, omega = report.preperiod, report.vector_period
     for n in range(t, horizon - omega + 1):
         assert oracle[n] == oracle[n + omega]
@@ -82,7 +83,7 @@ def _dict_orbit_report(k, u, w, m, max_steps):
     mod m until a vector repeats, then take the least divisor d of omega
     under which the omega scalar terms from t on are invariant by a
     cyclic shift.  None when no vector repeats within *max_steps*."""
-    matrix = _transfer_matrix(k, u).evaluated(w, m)
+    matrix = [[e.evaluate(w, m) for e in row] for row in _transfer_matrix(k, u).entries]
     gamma = (1,) + (0,) * (len(matrix) - 1)
     seen, sequence = {}, []
     while gamma not in seen:
@@ -166,7 +167,7 @@ def test_period_3_8_mod_101_certified_by_dense_powers():
         omega,
         omega,
     )
-    matrix = _transfer_matrix(3, 8).evaluated(ALL_ONES, m)
+    matrix = [[e.evaluate(ALL_ONES, m) for e in row] for row in _transfer_matrix(3, 8).entries]
     size = len(matrix)
 
     def times(a, b):
@@ -220,7 +221,7 @@ def test_period_search_budget_exits_2():
 
 def test_detect_report_json():
     report = detect_eventual_period(3, 4, m=2)
-    data = report.to_json()
+    data = asdict(report)
     assert set(data) == {
         "preperiod",
         "vector_period",

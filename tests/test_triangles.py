@@ -1,13 +1,16 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from sscat import (
     FormulaViolationError,
+    TransferMatrix,
     WeightAssignment,
     catalan_number,
     height_triangle_row,
+    min_path_height,
     narayana_row,
     run_verifiers,
     scan_power_of_two,
@@ -208,3 +211,27 @@ def test_scan_power_of_two():
     hits = scan_power_of_two(5, 8, n_max=6)
     assert {(2, 2), (4, 6), (5, 8)} <= set(hits)
     assert (3, 4) not in hits  # its counts grow like 1, 1, 5, 21, ...
+
+
+def test_each_transfer_matrix_is_evaluated_once(monkeypatch):
+    # one orbit gives every term of a sequence, so each matrix is evaluated
+    # once per weight assignment, not once per n
+    evaluated = Counter()
+    original = TransferMatrix.evaluated
+
+    def counted(matrix, w, modulus=None):
+        evaluated[matrix.space.k, matrix.space.u] += 1
+        return original(matrix, w, modulus)
+
+    monkeypatch.setattr(TransferMatrix, "evaluated", counted)
+    scan_power_of_two(7, 20, 8)
+    scanned = [(k, u) for k in range(2, 8) for u in range(min_path_height(k), 21)]
+    assert evaluated == Counter(scanned)
+    rng = random.Random(43)
+    assignments = [WeightAssignment()] + [random_assignment(rng) for _ in range(2)]
+    evaluated.clear()
+    verify_recurrence_3_4(8, assignments)
+    assert evaluated == {(3, 4): len(assignments)}
+    evaluated.clear()
+    verify_closed_4_6_and_5_8(8, assignments)
+    assert evaluated == {(4, 6): len(assignments), (5, 8): len(assignments)}

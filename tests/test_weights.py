@@ -137,7 +137,7 @@ def test_polynomial_json_roundtrip(p):
         for term in p.to_json()
     }
     assert WeightPolynomial(decoded) == p
-    assert _poly([(([2, 0, 2], [4]), 3), (([], []), -1)]).to_json() == [
+    assert list(_poly([(([2, 0, 2], [4]), 3), (([], []), -1)]).to_json()) == [
         {"coeff": "-1", "b": {}, "c": {}},
         {"coeff": "3", "b": {"0": 1, "2": 2}, "c": {"4": 1}},
     ]
