@@ -4,32 +4,17 @@ Exit status: 0 on success/verified, 1 on a verification or comparison
 mismatch, 2 on usage errors.  JSON output encodes big integers as decimal
 strings so consumers are not limited to 53-bit floats.  Answers are printed
 in full however many digits they have; Python's digit limit stays in force
-for parsing arguments.
+for parsing arguments.  Each subcommand imports the modules it runs when it
+runs, so a command loads only what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
-from itertools import chain
-from typing import Optional, Sequence
 
-from . import triangles
-from .counting import (
-    bounded_sswcn_dp,
-    catalan_number,
-    sswcn_lattice,
-    sswcn_lattice_value,
-)
 from .errors import FormulaViolationError, SscatError
-from .oeis import SequenceRecord, compare_sequences, fetch_bfile
-from .paths import BallotPath, enumerate_paths
-from .periodicity import detect_eventual_period
-from .syt import Tableau, path_to_tableau, tableau_to_path, tally
-from .weights import WeightAssignment
 
 FORMATS = ("plain", "json", "csv")
 
@@ -52,7 +37,7 @@ def _decimal_text(value: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _parse_weight_sequence(text: Optional[str]) -> tuple[tuple[int, ...], int]:
+def _parse_weight_sequence(text: str | None) -> tuple[tuple[int, ...], int]:
     """Parse '1,0,2,fill=0' into (prefix, fill); fill defaults to 1."""
     if not text:
         return (), 1
@@ -79,14 +64,18 @@ def _parse_weight_sequence(text: Optional[str]) -> tuple[tuple[int, ...], int]:
     return tuple(prefix), fill
 
 
-def _weights(args) -> WeightAssignment:
-    """The weights parsed from --b and --c, each a (prefix, fill) pair; an
-    absent option leaves its sequence all ones."""
+def _weights(args):
+    """The `WeightAssignment` parsed from --b and --c, each a (prefix, fill)
+    pair; an absent option leaves its sequence all ones."""
+    from .weights import WeightAssignment
+
     return WeightAssignment(*(args.b or ((), 1)), *(args.c or ((), 1)))
 
 
-def _parse_tableau(text: str) -> Tableau:
-    """Parse '1,2,4/3,5/6' into a tableau (rows separated by '/')."""
+def _parse_tableau(text: str):
+    """Parse '1,2,4/3,5/6' into a `Tableau` (rows separated by '/')."""
+    from .syt import Tableau
+
     rows = tuple(
         tuple(int(v) for v in row.split(",") if v.strip())
         for row in text.split("/")
@@ -99,6 +88,8 @@ def _emit(args, plain: str, payload) -> None:
     its keys on one line and its values on the next, None as an empty
     field."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print(",".join(payload))
@@ -114,6 +105,10 @@ def _emit(args, plain: str, payload) -> None:
 def _cmd_enumerate(args) -> int:
     """Print each path as the DFS yields it; the JSON form is written in
     pieces whose bytes match `json.dumps` of the whole list."""
+    from itertools import chain
+
+    from .paths import enumerate_paths
+
     paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
     # The generator checks its arguments on the first step, so take that
     # step before printing: a usage error leaves stdout empty.
@@ -121,6 +116,8 @@ def _cmd_enumerate(args) -> int:
     if first is not None:
         paths = chain((first,), paths)
     if args.format == "json":
+        import json
+
         sep = ""
         print("[", end="")
         for p in paths:
@@ -136,12 +133,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import catalan_number
+
     value = _decimal_text(catalan_number(args.k, args.n))
     _emit(args, value, {"k": args.k, "n": args.n, "count": value})
     return 0
 
 
 def _cmd_bounded(args) -> int:
+    from .counting import bounded_sswcn_dp
+
     value = _decimal_text(
         bounded_sswcn_dp(args.k, args.u, args.n, _weights(args), args.mod)
     )
@@ -154,6 +155,8 @@ def _cmd_bounded(args) -> int:
 
 
 def _cmd_sswcn(args) -> int:
+    from .counting import sswcn_lattice, sswcn_lattice_value
+
     if not args.symbolic:
         value = _decimal_text(sswcn_lattice_value(args.k, args.n, _weights(args)))
         _emit(args, value, {"k": args.k, "n": args.n, "value": value})
@@ -173,6 +176,8 @@ def _cmd_sswcn(args) -> int:
     # The bytes of json.dumps(..., indent=2) of the whole document, written
     # one term at a time so that the term list is never held.  A balanced
     # path always exists, so the list is never empty.
+    import json
+
     print(f'{{\n  "k": {args.k},\n  "n": {args.n},\n  "polynomial": [', end="")
     encode = json.JSONEncoder(indent=2).encode
     sep = "\n    "
@@ -184,15 +189,15 @@ def _cmd_sswcn(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    from .triangles import height_triangle_row, narayana_row
+
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
-    build = (
-        triangles.height_triangle_row
-        if args.kind == "height"
-        else triangles.narayana_row
-    )
+    build = height_triangle_row if args.kind == "height" else narayana_row
     rows = [build(args.k, n) for n in range(args.rows + 1)]
     if args.format == "json":
+        import json
+
         print(json.dumps([row.to_json() for row in rows], indent=2))
     elif args.format == "csv":
         print("k,n,stat,count")
@@ -207,49 +212,76 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from .periodicity import detect_eventual_period
+
     report = detect_eventual_period(args.k, args.u, _weights(args), args.mod)
     plain = (
         f"preperiod={report.preperiod} vector_period={report.vector_period} "
         f"scalar_period={report.scalar_period} mod={report.modulus}"
     )
-    _emit(args, plain, asdict(report))
+    _emit(args, plain, report._asdict())
     return 0
 
 
 def _cmd_verify(args) -> int:
-    records = triangles.run_verifiers(args.name)
+    from .triangles import run_verifiers
+
+    records = run_verifiers(args.name)
     plain = "\n".join(f"ok {r.name}: {check}" for r in records for check in r.checks)
     _emit(args, plain, [r.to_json() for r in records])
     return 0
 
 
-# Generator name: (number of parameters, first index n, term(n, *params)).
+def _catalan_terms(start: int, stop: int, k: int) -> list[int]:
+    from .counting import catalan_number
+
+    return [catalan_number(k, n) for n in range(start, stop)]
+
+
+def _bounded_terms(start: int, stop: int, k: int, u: int) -> list[int]:
+    # One orbit for the whole range: the matrix is evaluated once.
+    from .counting import bounded_sequence
+
+    return bounded_sequence(k, u, stop)[start:]
+
+
+def _dprime_terms(start: int, stop: int) -> list[int]:
+    from .triangles import height_triangle_row
+
+    return [height_triangle_row(3, n).entries[2 * n] for n in range(start, stop)]
+
+
+def _rightmost_terms(start: int, stop: int, k: int) -> list[int]:
+    from .counting import max_path_height
+    from .triangles import height_triangle_row
+
+    return [
+        height_triangle_row(k, n).entries[max_path_height(k, n)]
+        for n in range(start, stop)
+    ]
+
+
+# The generators of `oeis-check`, by name: (number of parameters, first
+# index n, terms(start, stop, *params) for n = start..stop-1).
 _GENERATORS = {
-    "catalan": (1, 0, lambda n, k: catalan_number(k, n)),
-    "bounded": (2, 0, lambda n, k, u: bounded_sswcn_dp(k, u, n)),
-    "dprime-3-2n": (
-        0,
-        1,
-        lambda n: triangles.height_triangle_row(3, n).entries[2 * n],
-    ),
-    "rightmost": (
-        1,
-        1,
-        lambda n, k: triangles.height_triangle_row(k, n).entries[
-            triangles.max_path_height(k, n)
-        ],
-    ),
+    "catalan": (1, 0, _catalan_terms),
+    "bounded": (2, 0, _bounded_terms),
+    "dprime-3-2n": (0, 1, _dprime_terms),
+    "rightmost": (1, 1, _rightmost_terms),
 }
 _GENERATOR_USAGE = "use catalan:k, bounded:k,u, dprime-3-2n, or rightmost:k"
 
 
-def _generate(spec: str, count: int, reference: SequenceRecord) -> SequenceRecord:
+def _generate(spec: str, count: int, reference):
     """The terms of the generator *spec* for n = first..first+count-1,
-    computed only where *reference* holds a value to compare them with."""
+    computed only where the `SequenceRecord` *reference* holds a value to
+    compare them with."""
+    from .oeis import SequenceRecord
+
     name, _, argtext = spec.partition(":")
     if name not in _GENERATORS:
         raise SscatError(f"unknown generator {name!r}; {_GENERATOR_USAGE}")
-    arity, first, term = _GENERATORS[name]
+    arity, first, terms = _GENERATORS[name]
     try:
         params = [int(v) for v in argtext.split(",") if v.strip()]
     except ValueError:
@@ -260,12 +292,13 @@ def _generate(spec: str, count: int, reference: SequenceRecord) -> SequenceRecor
         )
     start = max(first, reference.offset)
     stop = min(first + count, reference.offset + len(reference.values))
-    return SequenceRecord(
-        spec, start, tuple(term(n, *params) for n in range(start, stop))
-    )
+    values = terms(start, stop, *params) if start < stop else ()
+    return SequenceRecord(spec, start, tuple(values))
 
 
 def _cmd_oeis_check(args) -> int:
+    from .oeis import compare_sequences, fetch_bfile
+
     reference = fetch_bfile(args.id, cache_dir=args.cache_dir, offline=args.offline)
     computed = _generate(args.generator, args.terms, reference)
     report = compare_sequences(computed, reference)
@@ -273,12 +306,15 @@ def _cmd_oeis_check(args) -> int:
     _emit(
         args,
         f"{args.id} vs {args.generator}: {verdict} over {report.overlap_length} terms",
-        {"id": args.id, "generator": args.generator, **asdict(report)},
+        {"id": args.id, "generator": args.generator, **report._asdict()},
     )
     return 0 if report.match else 1
 
 
 def _cmd_syt(args) -> int:
+    from .paths import BallotPath
+    from .syt import path_to_tableau, tableau_to_path, tally
+
     if args.action == "path-to-tableau":
         steps = tuple(int(v) for v in args.value.split(",") if v.strip())
         t = path_to_tableau(BallotPath(args.k, steps))
@@ -297,7 +333,9 @@ def _cmd_syt(args) -> int:
 
 
 def _cmd_scan_pow2(args) -> int:
-    hits = triangles.scan_power_of_two(args.k_max, args.u_max, args.n_max)
+    from .triangles import scan_power_of_two
+
+    hits = scan_power_of_two(args.k_max, args.u_max, args.n_max)
     plain = "\n".join(f"k={k} u={u}" for k, u in hits) or "(none)"
     _emit(args, plain, [{"k": k, "u": u} for k, u in hits])
     return 0
@@ -369,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         nargs="?",
         default="all",
-        help=f"one of {sorted(triangles.ALL_VERIFIERS)} or 'all'",
+        help="a verifier family, or 'all'; an unknown name lists them",
     )
 
     p = add("oeis-check", _cmd_oeis_check, "compare a generator against an OEIS b-file", no_csv)
@@ -394,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "syt" and args.action == "path-to-tableau" and args.k is None:

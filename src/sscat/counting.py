@@ -12,10 +12,9 @@ over enumerated paths.  Wherever these routes overlap they agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     FormulaViolationError,
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .paths import (
     Point,
+    _Frozen,
     enumerate_paths,
     enumerate_sub_paths,
     is_ballot_point,
@@ -206,14 +206,16 @@ def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
     return {_normalize(y): vector for y, vector in walk.items()}
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Frozen):
     """Normalized boundary states for the bound u: ballot points with last
     coordinate 0 reachable from the origin by k-step blocks."""
 
-    k: int
-    u: int
-    states: tuple[Point, ...]
+    __slots__ = ("k", "u", "states")
+
+    def __init__(self, k: int, u: int, states: tuple[Point, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -225,8 +227,7 @@ def build_state_space(k: int, u: int) -> StateSpace:
     return _transfer_matrix(k, u).space
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """Symbolic k-step transition matrix over the state space.
 
     Entry (i, j) sums the semisymmetric weight over the height-bounded

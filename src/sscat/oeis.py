@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BFileGapError,
@@ -32,8 +30,7 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _ID_PATTERN = re.compile(r"^A\d{6,}$")
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(NamedTuple):
     """A contiguous run of integer sequence values starting at `offset`."""
 
     id: str
@@ -85,6 +82,10 @@ def _bfile_name(id: str) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    # Imported here: only a fetch writes, and tempfile (with shutil and
+    # random) takes about 14 ms to import on Python 3.11.
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -137,8 +138,7 @@ def fetch_bfile(
     return record
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Result of comparing two records over their common index range."""
 
     overlap_start: int

@@ -14,10 +14,9 @@ recomputed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidDimensionError,
@@ -45,8 +44,7 @@ class StepKind(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class StepClass:
+class StepClass(NamedTuple):
     kind: StepKind
     direction: int
 
@@ -74,30 +72,57 @@ def is_ballot_point(p: Point) -> bool:
     return all(a >= b for a, b in zip(p, p[1:])) and p[-1] >= 0
 
 
-@dataclass(frozen=True)
-class BallotPath:
+class _Frozen:
+    """Base of the value classes that check their fields as they are made:
+    compared and hashed by the fields named in `__slots__`, which
+    `__init__` sets once with `object.__setattr__`; assigning one later
+    raises `AttributeError`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+
+class BallotPath(_Frozen):
     """An immutable ballot walk: origin point plus direction indices."""
 
-    k: int
-    steps: tuple[int, ...]
-    origin: Point = field(default=())
+    __slots__ = ("k", "steps", "origin")
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidDimensionError(f"dimension must be >= 2, got {self.k}")
-        origin = tuple(self.origin) if self.origin else (0,) * self.k
+    def __init__(self, k: int, steps: Iterable[int], origin: Point = ()):
+        if k < 2:
+            raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+        origin = tuple(origin) if origin else (0,) * k
+        steps = tuple(steps)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if len(origin) != self.k:
-            raise InvalidPathError(
-                f"origin has {len(origin)} coordinates, expected {self.k}"
-            )
+        if len(origin) != k:
+            raise InvalidPathError(f"origin has {len(origin)} coordinates, expected {k}")
         if not is_ballot_point(origin):
             raise InvalidPathError(f"origin {origin} is not a ballot point")
         x = list(origin)
-        for i, d in enumerate(self.steps):
-            if not 1 <= d <= self.k:
-                raise InvalidDirectionError(f"step {i}: direction {d} not in 1..{self.k}")
+        for i, d in enumerate(steps):
+            if not 1 <= d <= k:
+                raise InvalidDirectionError(f"step {i}: direction {d} not in 1..{k}")
             x[d - 1] += 1
             if d > 1 and x[d - 1] > x[d - 2]:
                 raise InvalidPathError(

@@ -15,9 +15,8 @@ one, the lattice DP mod m gives the term directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .counting import _apply, _transfer_matrix, bounded_sswcn_dp, sswcn_lattice_value
 from .errors import FormulaViolationError, TooLargeError
@@ -35,8 +34,7 @@ Rows = list[list[tuple[int, int]]]
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Detected eventual periodicity of a residue sequence.
 
     `preperiod` and `vector_period` are the minimal (t, omega) of the
@@ -238,8 +236,7 @@ def check_pairwise_product_divisibility(
     return None
 
 
-@dataclass(frozen=True)
-class TruncationCertificate:
+class TruncationCertificate(NamedTuple):
     """Why cutting the height at `bound` preserves the count mod m."""
 
     kind: str  # "entrywise" | "pairwise-product" | "lattice"

@@ -10,21 +10,18 @@ where i is a descent when i+1 appears in a strictly lower row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidPathError, InvalidTableauError
-from .paths import BallotPath
+from .paths import BallotPath, _Frozen
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """A standard Young tableau; rows may have different lengths (the
     shape must be a partition), entries are exactly 1..N."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(r) for r in rows)
         object.__setattr__(self, "rows", rows)
         lengths = [len(r) for r in rows]
         if any(a < b for a, b in zip(lengths, lengths[1:])):

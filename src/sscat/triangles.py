@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import backend
 from .counting import (
@@ -33,8 +32,7 @@ HEIGHT_TRIANGLE = "height"
 NARAYANA_TRIANGLE = "narayana"
 
 
-@dataclass(frozen=True)
-class TriangleRow:
+class TriangleRow(NamedTuple):
     """One row of a statistic triangle: nonzero counts keyed by the
     statistic value (height u or peak count alpha)."""
 
@@ -106,8 +104,7 @@ def narayana_row(k: int, n: int) -> TriangleRow:
 # FormulaViolationError (with expected/actual) on the first mismatch.
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     name: str
     checks: tuple[str, ...]
 

@@ -13,8 +13,7 @@ and prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidDimensionError
 from .paths import BallotPath, Point, height_coefficients
@@ -53,8 +52,7 @@ def count_ss_peaks(path: BallotPath) -> int:
     )
 
 
-@dataclass(frozen=True)
-class WeightMonomial:
+class WeightMonomial(NamedTuple):
     """A product of B(i)/C(j) powers; exponent maps stored as sorted tuples."""
 
     b: tuple[tuple[int, int], ...] = ()
@@ -231,8 +229,7 @@ class WeightPolynomial:
             }
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(NamedTuple):
     """An infinite integer sequence pair (b, c): explicit prefix + fill value."""
 
     b_prefix: tuple[int, ...] = ()

@@ -16,8 +16,14 @@ from sscat import (
     WeightPolynomial,
     bounded_sswcn_dp,
     cli,
+    counting,
     enumerate_paths,
+    oeis,
+    paths,
+    periodicity,
     sswcn_lattice,
+    syt,
+    triangles,
 )
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
@@ -101,7 +107,7 @@ def test_enumerate_prints_each_path_as_it_is_found(capsys, monkeypatch):
         yield from islice(enumerate_paths(k, n, height_bound), 3)
         raise RuntimeError("stopped after three paths")
 
-    monkeypatch.setattr(cli, "enumerate_paths", three_then_fail)
+    monkeypatch.setattr(paths, "enumerate_paths", three_then_fail)
     first = [list(p.steps) for p in islice(enumerate_paths(3, 2), 3)]
     lines = "".join(" ".join(map(str, steps)) + "\n" for steps in first)
     expected = {
@@ -134,29 +140,34 @@ def _forbid(*args, **kwargs):
 
 
 # Each subcommand with a small argv, the function that computes its
-# answer (as looked up by the CLI), and the formats it prints.
+# answer (in the module the CLI imports it from when it runs), and the
+# formats it prints.
 FORMAT_CASES = [
-    (("enumerate", "3", "2"), (cli, "enumerate_paths"), cli.FORMATS),
-    (("count", "3", "2"), (cli, "catalan_number"), cli.FORMATS),
-    (("bounded", "3", "4", "5", "--mod", "7"), (cli, "bounded_sswcn_dp"), cli.FORMATS),
-    (("sswcn", "3", "2"), (cli, "sswcn_lattice_value"), cli.FORMATS),
-    (("sswcn", "3", "2", "--symbolic"), (cli, "sswcn_lattice"), ("plain", "json")),
+    (("enumerate", "3", "2"), (paths, "enumerate_paths"), cli.FORMATS),
+    (("count", "3", "2"), (counting, "catalan_number"), cli.FORMATS),
+    (("bounded", "3", "4", "5", "--mod", "7"), (counting, "bounded_sswcn_dp"), cli.FORMATS),
+    (("sswcn", "3", "2"), (counting, "sswcn_lattice_value"), cli.FORMATS),
+    (("sswcn", "3", "2", "--symbolic"), (counting, "sswcn_lattice"), ("plain", "json")),
     (
         ("triangle", "height", "3", "--rows", "2"),
-        (cli.triangles, "height_triangle_row"),
+        (triangles, "height_triangle_row"),
         cli.FORMATS,
     ),
-    (("period", "3", "8", "--mod", "101"), (cli, "detect_eventual_period"), ("plain", "json")),
-    (("verify",), (cli.triangles, "run_verifiers"), ("plain", "json")),
     (
-        ("oeis-check", "A015448", "bounded:3,4", "--terms", "5", "--offline"),
-        (cli, "fetch_bfile"),
+        ("period", "3", "8", "--mod", "101"),
+        (periodicity, "detect_eventual_period"),
         ("plain", "json"),
     ),
-    (("syt", "tally", "1,2,4/3,5,6"), (cli, "tally"), ("plain", "json")),
+    (("verify",), (triangles, "run_verifiers"), ("plain", "json")),
+    (
+        ("oeis-check", "A015448", "bounded:3,4", "--terms", "5", "--offline"),
+        (oeis, "fetch_bfile"),
+        ("plain", "json"),
+    ),
+    (("syt", "tally", "1,2,4/3,5,6"), (syt, "tally"), ("plain", "json")),
     (
         ("scan-pow2", "--k-max", "4", "--u-max", "6"),
-        (cli.triangles, "scan_power_of_two"),
+        (triangles, "scan_power_of_two"),
         ("plain", "json"),
     ),
 ]
@@ -275,6 +286,8 @@ def test_verify(capsys):
     assert code == 0 and out.startswith("ok ")
     code, out, err = run(capsys, "verify", "no-such-family")
     assert code == 2 and "unknown verifier" in err
+    # `verify --help` does not list the families; this error does
+    assert all(name in err for name in triangles.ALL_VERIFIERS)
 
 
 def test_oeis_check(capsys, tmp_path):
@@ -291,6 +304,24 @@ def test_oeis_check(capsys, tmp_path):
         "--terms", "5", "--offline", "--cache-dir", str(tmp_path),
     )
     assert code == 1 and "MISMATCH" in out
+
+
+def test_oeis_check_bounded_evaluates_the_matrix_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    evaluated = counting.TransferMatrix.evaluated
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.space.k)
+        return evaluated(self, *args, **kwargs)
+
+    monkeypatch.setattr(counting.TransferMatrix, "evaluated", counted)
+    code, out, _ = run(
+        capsys,
+        "oeis-check", "A015448", "bounded:3,4",
+        "--terms", "20", "--offline", "--cache-dir", str(tmp_path),
+    )
+    assert out == "A015448 vs bounded:3,4: match over 20 terms\n"
+    assert code == 0 and calls == [3]
 
 
 def test_syt(capsys):
@@ -346,8 +377,8 @@ def test_formula_violation_exits_1_with_details(capsys, monkeypatch):
     def fail(*args):
         raise FormulaViolationError("broken", expected=5, actual=6, witness=(3, 2))
 
-    monkeypatch.setattr(cli.triangles, "run_verifiers", fail)
-    monkeypatch.setattr(cli, "catalan_number", fail)
+    monkeypatch.setattr(triangles, "run_verifiers", fail)
+    monkeypatch.setattr(counting, "catalan_number", fail)
     for argv in (("verify", "all"), ("count", "3", "2")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out
@@ -471,7 +502,7 @@ ARGV = st.one_of(
     _command(
         "verify",
         st.tuples(
-            st.sampled_from((*sorted(cli.triangles.ALL_VERIFIERS), "all", "no-such-name"))
+            st.sampled_from((*sorted(triangles.ALL_VERIFIERS), "all", "no-such-name"))
         ),
         FORMAT,
     ),

@@ -1,7 +1,6 @@
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 
 import pytest
 
@@ -221,7 +220,7 @@ def test_period_search_budget_exits_2():
 
 def test_detect_report_json():
     report = detect_eventual_period(3, 4, m=2)
-    data = asdict(report)
+    data = report._asdict()
     assert set(data) == {
         "preperiod",
         "vector_period",
