@@ -103,32 +103,25 @@ def _emit(args, plain: str, payload) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    """Print each path as the DFS yields it; the JSON form is written in
-    pieces whose bytes match `json.dumps` of the whole list."""
-    from itertools import chain
-
+    """Print each path's steps as the DFS yields them; the JSON form is
+    written in pieces whose bytes match `json.dumps` of the whole list."""
     from .paths import enumerate_paths
 
     paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
-    # The generator checks its arguments on the first step, so take that
-    # step before printing: a usage error leaves stdout empty.
-    first = next(paths, None)
-    if first is not None:
-        paths = chain((first,), paths)
     if args.format == "json":
         import json
 
         sep = ""
         print("[", end="")
-        for p in paths:
-            print(sep + json.dumps(list(p.steps)), end="")
+        for steps in paths:
+            print(sep + json.dumps(steps), end="")
             sep = ", "
         print("]")
         return 0
     if args.format == "csv":
         print("steps")
-    for p in paths:
-        print(" ".join(map(str, p.steps)))
+    for steps in paths:
+        print(" ".join(map(str, steps)))
     return 0
 
 

@@ -5,8 +5,9 @@ brute force.
 functions run the layered DP over the ballot points of the box.
 `bounded_sswcn_dp` and `bounded_sequence` iterate the boundary-state
 transfer matrix, whose entries the same DP sums over the k-step blocks
-from each state.  The `*_brute` functions, the test oracle, sum weights
-over enumerated paths.  Wherever these routes overlap they agree exactly.
+from each state.  The `*_brute` functions, the test oracle, share one
+loop, `_brute_sum`, that sums weights over enumerated paths.  Wherever
+these routes overlap they agree exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     FormulaViolationError,
@@ -23,6 +24,7 @@ from .errors import (
     TooLargeError,
 )
 from .paths import (
+    BallotPath,
     Point,
     _Frozen,
     enumerate_paths,
@@ -78,23 +80,29 @@ def _check_cap(k: int, n: int) -> None:
             )
 
 
+def _brute_sum(
+    k: int, walks: Iterable[tuple[int, ...]], origin: Point, weight
+) -> WeightPolynomial:
+    """The loop of the brute-force oracles: rebuild each enumerated walk as
+    a `BallotPath` from *origin*, whose constructor checks it again, and
+    sum its *weight*."""
+    poly = WeightPolynomial()
+    for steps in walks:
+        poly.add_monomial(weight(BallotPath(k, steps, origin)))
+    return poly
+
+
 def sswcn_brute(k: int, n: int) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of
     length k*n, as a symbolic polynomial."""
     _check_cap(k, n)
-    poly = WeightPolynomial()
-    for path in enumerate_paths(k, n):
-        poly.add_monomial(sswt(path))
-    return poly
+    return _brute_sum(k, enumerate_paths(k, n), (0,) * k, sswt)
 
 
 def bounded_sswcn_brute(k: int, u: int, n: int) -> WeightPolynomial:
     """Like `sswcn_brute`, restricted to paths of semisymmetric height <= u."""
     _check_cap(k, n)
-    poly = WeightPolynomial()
-    for path in enumerate_paths(k, n, height_bound=u):
-        poly.add_monomial(sswt(path))
-    return poly
+    return _brute_sum(k, enumerate_paths(k, n, height_bound=u), (0,) * k, sswt)
 
 
 def sub_sswcn_brute(k: int, u: int, a: Point, n: int) -> WeightPolynomial:
@@ -103,20 +111,14 @@ def sub_sswcn_brute(k: int, u: int, a: Point, n: int) -> WeightPolynomial:
     if not is_ballot_point(a) or ss_height_point(a) > u:
         raise InvalidStateError(f"{a} is not a ballot point with height <= {u}")
     _check_cap(k, n)
-    poly = WeightPolynomial()
-    for path in enumerate_sub_paths(k, a, (n,) * k, height_bound=u):
-        poly.add_monomial(sswt(path))
-    return poly
+    return _brute_sum(k, enumerate_sub_paths(k, a, (n,) * k, height_bound=u), a, sswt)
 
 
 def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
     """Sum of legacy weights wt_b over all balanced ballot paths; kept for
     distinctness checks against the semisymmetric generalization."""
     _check_cap(k, n)
-    poly = WeightPolynomial()
-    for path in enumerate_paths(k, n):
-        poly.add_monomial(legacy_wt(path))
-    return poly
+    return _brute_sum(k, enumerate_paths(k, n), (0,) * k, legacy_wt)
 
 
 # ---------------------------------------------------------------------------

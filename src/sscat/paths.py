@@ -8,15 +8,21 @@ A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
 the origin, uses each unit direction exactly n times, and keeps every
 prefix point ballot.  A *sub-ballot path* is the same walk between two
-arbitrary ballot points.  Paths store direction indices (1..k); points are
-recomputed on demand.
+arbitrary ballot points.  A path is its tuple of direction indices (1..k);
+points are recomputed on demand.
+
+The enumerators check their arguments when called and then yield the
+DFS's own step tuples, which are ballot by construction.  `BallotPath`
+checks the ballot property of outside input (the CLI's `syt` argument,
+tableaux read back as paths) and of the walks the brute-force oracles
+rebuild from those tuples.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidDimensionError,
@@ -44,12 +50,7 @@ class StepKind(Enum):
     DOWN = "down"
 
 
-class StepClass(NamedTuple):
-    kind: StepKind
-    direction: int
-
-
-def step_class(k: int, direction: int) -> StepClass:
+def step_class(k: int, direction: int) -> StepKind:
     """Classify a unit step: up for i <= k//2, down for the mirror range,
     neutral for the middle direction when k is odd."""
     if k < 2:
@@ -57,12 +58,10 @@ def step_class(k: int, direction: int) -> StepClass:
     if not 1 <= direction <= k:
         raise InvalidDirectionError(f"direction {direction} not in 1..{k}")
     if direction <= k // 2:
-        kind = StepKind.UP
-    elif k % 2 == 1 and direction == k // 2 + 1:
-        kind = StepKind.NEUTRAL
-    else:
-        kind = StepKind.DOWN
-    return StepClass(kind, direction)
+        return StepKind.UP
+    if k % 2 == 1 and direction == k // 2 + 1:
+        return StepKind.NEUTRAL
+    return StepKind.DOWN
 
 
 def is_ballot_point(p: Point) -> bool:
@@ -258,22 +257,15 @@ def lattice_sum(
 
 def enumerate_paths(
     k: int, n: int, height_bound: Optional[int] = None
-) -> Iterator[BallotPath]:
-    """Enumerate balanced ballot paths of length k*n in depth-first order,
-    trying directions 1..k at each step.
-
-    Prunes any branch that breaks the ballot property, overuses a
-    direction, or (when *height_bound* is given) exceeds the semisymmetric
-    height bound.
-    """
+) -> Iterator[tuple[int, ...]]:
+    """The balanced ballot paths of length k*n as step tuples, in the
+    depth-first order of `ballot_walks`, pruned above *height_bound* when
+    given: `enumerate_sub_paths` across the box [0, n]^k."""
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    if height_bound is not None and height_bound < 0:
-        raise ValueError(f"height bound must be >= 0, got {height_bound}")
-    for steps in ballot_walks(k, (0,) * k, (n,) * k, height_bound):
-        yield BallotPath(k, steps)
+    return enumerate_sub_paths(k, (0,) * k, (n,) * k, height_bound)
 
 
 def enumerate_sub_paths(
@@ -281,11 +273,15 @@ def enumerate_sub_paths(
     start: Point,
     end: Point,
     height_bound: Optional[int] = None,
-) -> Iterator[BallotPath]:
-    """Enumerate sub-ballot paths from *start* to *end*, depth-first.
+) -> Iterator[tuple[int, ...]]:
+    """The sub-ballot paths from *start* to *end* as step tuples, depth-first.
 
-    Both endpoints must be ballot points with start <= end coordinatewise.
+    Both endpoints must be ballot points with start <= end coordinatewise,
+    and the height bound, when given, nonnegative.  The arguments are
+    checked here, before the walk starts.
     """
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
     start, end = tuple(start), tuple(end)
     if len(start) != k or len(end) != k:
         raise InvalidEndpointError("endpoints must have exactly k coordinates")
@@ -293,8 +289,9 @@ def enumerate_sub_paths(
         raise InvalidEndpointError(f"endpoints {start}, {end} must be ballot points")
     if any(a > b for a, b in zip(start, end)):
         raise InvalidEndpointError(f"start {start} must not exceed end {end}")
-    for steps in ballot_walks(k, start, end, height_bound):
-        yield BallotPath(k, steps, origin=start)
+    if height_bound is not None and height_bound < 0:
+        raise ValueError(f"height bound must be >= 0, got {height_bound}")
+    return ballot_walks(k, start, end, height_bound)
 
 
 def reflect_point(k: int, n: int, p: Point) -> Point:
@@ -311,7 +308,8 @@ def reflect_point(k: int, n: int, p: Point) -> Point:
 
 
 def reverse_complement(path: BallotPath) -> BallotPath:
-    """Reflect every intermediate point through the box and reverse.
+    """Reflect every intermediate point through the box and reverse: the
+    steps d_1 ... d_N become k+1-d_N ... k+1-d_1.
 
     This is an involution on balanced ballot paths that preserves the
     semisymmetric height.
@@ -319,11 +317,4 @@ def reverse_complement(path: BallotPath) -> BallotPath:
     if not path.is_balanced():
         raise InvalidPathError("reverse_complement requires a balanced path")
     k = path.k
-    n = len(path) // k
-    pts = [reflect_point(k, n, p) for p in path.points()]
-    pts.reverse()
-    steps = []
-    for a, b in zip(pts, pts[1:]):
-        diff = [y - x for x, y in zip(a, b)]
-        steps.append(diff.index(1) + 1)
-    return BallotPath(k, tuple(steps))
+    return BallotPath(k, tuple(k + 1 - d for d in reversed(path.steps)))

@@ -97,7 +97,7 @@ class WeightMonomial(NamedTuple):
         parts = []
         for i, e in self.b:
             parts.append(f"B{i}" if e == 1 else f"B{i}^{e}")
-        for j, e in sorted(self.c, reverse=True):
+        for j, e in reversed(self.c):
             parts.append(f"C{j}" if e == 1 else f"C{j}^{e}")
         return "*".join(parts) if parts else "1"
 
@@ -194,7 +194,7 @@ class WeightPolynomial:
     def _sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda item: (item[0].b, tuple(sorted(item[0].c, reverse=True))),
+            key=lambda item: (item[0].b, item[0].c[::-1]),
         )
 
     def text(self) -> str:

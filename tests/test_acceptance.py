@@ -170,8 +170,8 @@ def test_criterion_8_property_suite():
     # height bounds on every enumerated path
     for k in range(2, 6):
         for n in (1, 2):
-            for p in enumerate_paths(k, n):
-                h = ss_height_path(p)
+            for steps in enumerate_paths(k, n):
+                h = ss_height_path(BallotPath(k, steps))
                 assert min_path_height(k) <= h <= max_path_height(k, n)
 
     # the reflection through the box center preserves the height
@@ -183,13 +183,14 @@ def test_criterion_8_property_suite():
 
     # tableau bijection round-trips
     for n in range(4):
-        for p in enumerate_paths(3, n):
-            assert tableau_to_path(path_to_tableau(p)).steps == p.steps
+        for steps in enumerate_paths(3, n):
+            path = BallotPath(3, steps)
+            assert tableau_to_path(path_to_tableau(path)).steps == steps
 
     # ascents + descents = N - 1, and the worked 3x4 tableau
     for n in range(1, 4):
-        for p in enumerate_paths(3, n):
-            t = path_to_tableau(p)
+        for steps in enumerate_paths(3, n):
+            t = path_to_tableau(BallotPath(3, steps))
             row_by_entry = {v: j for j, r in enumerate(t.rows) for v in r}
             descents = sum(
                 1 for i in range(1, t.size) if row_by_entry[i + 1] > row_by_entry[i]

@@ -99,7 +99,7 @@ def test_enumerate(capsys):
     assert out.strip().splitlines() == ["1 2 3 1 2 3"]
     code, out, _ = run(capsys, "enumerate", "3", "2", "--format", "json")
     assert len(json.loads(out)) == 5
-    assert out == json.dumps([list(p.steps) for p in enumerate_paths(3, 2)]) + "\n"
+    assert out == json.dumps([list(steps) for steps in enumerate_paths(3, 2)]) + "\n"
 
 
 def test_enumerate_prints_each_path_as_it_is_found(capsys, monkeypatch):
@@ -108,7 +108,7 @@ def test_enumerate_prints_each_path_as_it_is_found(capsys, monkeypatch):
         raise RuntimeError("stopped after three paths")
 
     monkeypatch.setattr(paths, "enumerate_paths", three_then_fail)
-    first = [list(p.steps) for p in islice(enumerate_paths(3, 2), 3)]
+    first = [list(steps) for steps in islice(enumerate_paths(3, 2), 3)]
     lines = "".join(" ".join(map(str, steps)) + "\n" for steps in first)
     expected = {
         "plain": lines,
@@ -119,6 +119,22 @@ def test_enumerate_prints_each_path_as_it_is_found(capsys, monkeypatch):
         with pytest.raises(RuntimeError):
             main(["enumerate", "3", "2", "--format", fmt])
         assert capsys.readouterr().out == printed, fmt
+
+
+def test_enumerate_builds_no_path_objects(capsys, monkeypatch):
+    # The DFS yields ballot walks only, so printing them needs no second
+    # check by `BallotPath`.
+    built = []
+    init = paths.BallotPath.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(paths.BallotPath, "__init__", counted)
+    assert main(["enumerate", "4", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 462
+    assert built == []
 
 
 def test_bounded_with_weights(capsys):

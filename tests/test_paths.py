@@ -30,10 +30,10 @@ def test_height_coefficients():
 
 
 def test_step_taxonomy():
-    assert step_class(3, 1).kind is StepKind.UP
-    assert step_class(3, 2).kind is StepKind.NEUTRAL
-    assert step_class(3, 3).kind is StepKind.DOWN
-    assert [step_class(4, d).kind for d in range(1, 5)] == [
+    assert step_class(3, 1) is StepKind.UP
+    assert step_class(3, 2) is StepKind.NEUTRAL
+    assert step_class(3, 3) is StepKind.DOWN
+    assert [step_class(4, d) for d in range(1, 5)] == [
         StepKind.UP,
         StepKind.UP,
         StepKind.DOWN,
@@ -87,27 +87,43 @@ def test_enumerate_3_2_explicit():
         (1, 2, 3, 1, 2, 3),
         (1, 2, 1, 3, 2, 3),
     }
-    assert {p.steps for p in enumerate_paths(3, 2)} == expected
+    assert set(enumerate_paths(3, 2)) == expected
 
 
 def test_enumerate_with_height_bound():
     for k, n, u in ((3, 3, 4), (4, 2, 6), (2, 4, 2)):
-        bounded = {p.steps for p in enumerate_paths(k, n, height_bound=u)}
+        bounded = set(enumerate_paths(k, n, height_bound=u))
         filtered = {
-            p.steps for p in enumerate_paths(k, n) if ss_height_path(p) <= u
+            steps
+            for steps in enumerate_paths(k, n)
+            if ss_height_path(BallotPath(k, steps)) <= u
         }
         assert bounded == filtered
 
 
 def test_enumerate_sub_paths():
     subs = list(enumerate_sub_paths(3, (2, 1, 0), (2, 2, 2)))
-    assert {p.steps for p in subs} == {(2, 3, 3), (3, 2, 3)}
-    for p in subs:
-        assert p.origin == (2, 1, 0) and p.endpoint == (2, 2, 2)
+    assert set(subs) == {(2, 3, 3), (3, 2, 3)}
+    for steps in subs:
+        assert BallotPath(3, steps, (2, 1, 0)).endpoint == (2, 2, 2)
     with pytest.raises(InvalidEndpointError):
         list(enumerate_sub_paths(3, (1, 2, 0), (2, 2, 2)))
     with pytest.raises(InvalidEndpointError):
         list(enumerate_sub_paths(3, (2, 2, 2), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        list(enumerate_sub_paths(3, (0, 0, 0), (2, 2, 2), height_bound=-1))
+
+
+def test_enumerators_check_arguments_when_called():
+    # No `next`: the call itself must raise, before any walk is taken.
+    with pytest.raises(InvalidDimensionError):
+        enumerate_paths(1, 2)
+    with pytest.raises(ValueError):
+        enumerate_paths(3, -1)
+    with pytest.raises(ValueError):
+        enumerate_paths(3, 2, height_bound=-1)
+    with pytest.raises(InvalidEndpointError):
+        enumerate_sub_paths(3, (1, 2, 0), (2, 2, 2))
 
 
 def test_reflect_point():
@@ -124,10 +140,13 @@ def test_reflect_point():
 
 def test_reverse_complement_involution_and_height():
     for k, n in ((2, 3), (3, 2), (4, 2)):
-        for p in enumerate_paths(k, n):
+        for steps in enumerate_paths(k, n):
+            p = BallotPath(k, steps)
             q = reverse_complement(p)
             assert q.is_balanced()
             assert ss_height_path(q) == ss_height_path(p)
-            assert reverse_complement(q).steps == p.steps
+            assert reverse_complement(q).steps == steps
+            reflected = [reflect_point(k, n, x) for x in p.points()]
+            assert list(q.points()) == reflected[::-1]
     with pytest.raises(InvalidPathError):
         reverse_complement(BallotPath(3, (1, 2)))

@@ -69,10 +69,10 @@ def test_subtableau_matches_intermediate_points():
 
 def test_round_trip_all_small_paths():
     for n in range(4):
-        for p in enumerate_paths(3, n):
-            t = path_to_tableau(p)
+        for steps in enumerate_paths(3, n):
+            t = path_to_tableau(BallotPath(3, steps))
             assert t.shape == (n, n, n)
-            assert tableau_to_path(t).steps == p.steps
+            assert tableau_to_path(t).steps == steps
 
 
 def test_bijection_requires_balanced_and_rectangular():
@@ -93,8 +93,8 @@ def test_single_row_and_column_tallies():
 
 def test_ascents_plus_descents():
     for n in range(1, 4):
-        for p in enumerate_paths(3, n):
-            t = path_to_tableau(p)
+        for steps in enumerate_paths(3, n):
+            t = path_to_tableau(BallotPath(3, steps))
             row_by_entry = {v: j for j, r in enumerate(t.rows) for v in r}
             descents = sum(
                 1 for i in range(1, t.size) if row_by_entry[i + 1] > row_by_entry[i]
