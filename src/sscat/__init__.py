@@ -28,7 +28,7 @@ _EXPORTS = {
             SequenceUnavailableError SscatError TooLargeError""",
         "oeis": "ComparisonReport SequenceRecord compare_sequences fetch_bfile parse_bfile",
         "paths": """BallotPath enumerate_paths enumerate_sub_paths is_ballot_point
-            reflect_point reverse_complement step_class""",
+            reflect_point reverse_complement ss_height_point step_class""",
         "periodicity": """PeriodReport TruncationCertificate check_entrywise_divisibility
             check_pairwise_product_divisibility detect_eventual_period
             unbounded_sswcn_mod""",
@@ -38,8 +38,7 @@ _EXPORTS = {
             verify_dprime_3_2n verify_min_u_formulas verify_narayana_one_peak
             verify_recurrence_3_4 verify_rightmost_entries""",
         "weights": """ALL_ONES WeightAssignment WeightMonomial WeightPolynomial
-            count_ss_peaks legacy_height_point legacy_wt ss_height_path
-            ss_height_point sswt""",
+            count_ss_peaks legacy_height_point legacy_wt ss_height_path sswt""",
     }.items()
     for name in names.split()
 }

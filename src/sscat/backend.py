@@ -6,7 +6,7 @@ only the pure-Python one.
 
 from __future__ import annotations
 
-from .paths import lattice_sum
+from .paths import StepKind, lattice_sum
 
 ACTIVE_BACKEND = "python"
 
@@ -15,7 +15,7 @@ def height_histogram(k: int, n: int) -> dict[int, int]:
     """Number of balanced ballot paths of length k*n by maximum
     semisymmetric height; each point is tagged with the running maximum."""
 
-    def step(vector, d, g, g2):
+    def step(vector, kind, g, g2):
         return ((gmax if gmax > g2 else g2, c) for gmax, c in vector.items())
 
     return lattice_sum(k, n, 0, step)
@@ -24,11 +24,9 @@ def height_histogram(k: int, n: int) -> dict[int, int]:
 def peak_histogram(k: int, n: int) -> dict[int, int]:
     """Number of balanced ballot paths of length k*n by semisymmetric peak
     count; each point is tagged with (last step was up, peaks so far)."""
-    up = k // 2
-    down_start = (k + 1) // 2 + 1
 
-    def step(vector, d, g, g2):
-        is_up, is_down = d <= up, d >= down_start
+    def step(vector, kind, g, g2):
+        is_up, is_down = kind is StepKind.UP, kind is StepKind.DOWN
         return (
             ((is_up, peaks + 1 if was_up and is_down else peaks), c)
             for (was_up, peaks), c in vector.items()

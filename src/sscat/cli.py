@@ -238,12 +238,6 @@ def _bounded_terms(start: int, stop: int, k: int, u: int) -> list[int]:
     return bounded_sequence(k, u, stop)[start:]
 
 
-def _dprime_terms(start: int, stop: int) -> list[int]:
-    from .triangles import height_triangle_row
-
-    return [height_triangle_row(3, n).entries[2 * n] for n in range(start, stop)]
-
-
 def _rightmost_terms(start: int, stop: int, k: int) -> list[int]:
     from .counting import max_path_height
     from .triangles import height_triangle_row
@@ -259,7 +253,8 @@ def _rightmost_terms(start: int, stop: int, k: int) -> list[int]:
 _GENERATORS = {
     "catalan": (1, 0, _catalan_terms),
     "bounded": (2, 0, _bounded_terms),
-    "dprime-3-2n": (0, 1, _dprime_terms),
+    # D'_3(2n) is the rightmost entry of row n at k = 3: max_path_height(3, n) = 2n.
+    "dprime-3-2n": (0, 1, lambda start, stop: _rightmost_terms(start, stop, 3)),
     "rightmost": (1, 1, _rightmost_terms),
 }
 _GENERATOR_USAGE = "use catalan:k, bounded:k,u, dprime-3-2n, or rightmost:k"

@@ -2,7 +2,8 @@
 brute force.
 
 `catalan_number` is the hook-length formula.  The `sswcn_lattice*`
-functions run the layered DP over the ballot points of the box.
+functions run the layered DP over the ballot points of the box, with the
+symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` iterate the boundary-state
 transfer matrix, whose entries the same DP sums over the k-step blocks
 from each state.  The `*_brute` functions, the test oracle, share one
@@ -26,21 +27,24 @@ from .errors import (
 from .paths import (
     BallotPath,
     Point,
+    StepKind,
     _Frozen,
     enumerate_paths,
     enumerate_sub_paths,
     is_ballot_point,
     lattice_sum,
     lattice_walk,
+    ss_height_point,
 )
 from .weights import (
     ALL_ONES,
+    MONOMIAL_ONE,
     WeightAssignment,
-    WeightMonomial,
     WeightPolynomial,
-    ss_height_point,
-    sswt,
     legacy_wt,
+    sswt,
+    tag_polynomial,
+    weight_step,
 )
 
 DEFAULT_PATH_CAP = 10**7
@@ -48,13 +52,13 @@ DEFAULT_PATH_CAP = 10**7
 
 def catalan_number(k: int, n: int) -> int:
     """The n-th k-dimensional Catalan number: the standard Young tableaux of
-    the k x n rectangle, (kn)! over the product of its hook lengths i + j + 1
-    (0 <= i < k, 0 <= j < n).
+    the k x n rectangle, (kn)! over the product of its hook lengths: row i
+    (0 <= i < k) has i + 1, ..., i + n, whose product is (n+i)!/i!.
 
     Accepts k >= 1 (the degenerate k=1 column is identically 1)."""
     if k < 1 or n < 0:
         raise ValueError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
-    hooks = math.prod(i + j + 1 for i in range(k) for j in range(n))
+    hooks = math.prod(math.factorial(n + i) // math.factorial(i) for i in range(k))
     quotient, remainder = divmod(math.factorial(k * n), hooks)
     if remainder:
         raise FormulaViolationError(
@@ -125,40 +129,10 @@ def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
 # Lattice DP over the ballot points of the box.
 
 
-def _bump(pairs: tuple[tuple[int, int], ...], index: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (index, exponent) tuple *pairs* with the exponent of
-    *index* raised by one."""
-    for pos, (i, e) in enumerate(pairs):
-        if i == index:
-            return pairs[:pos] + ((i, e + 1),) + pairs[pos + 1 :]
-        if i > index:
-            return pairs[:pos] + ((index, 1),) + pairs[pos:]
-    return pairs + ((index, 1),)
-
-
-def _weight_step(k: int):
-    """The lattice-DP step of the symbolic weight: an up-step multiplies each
-    monomial at its start by B(height of the start), any other step by
-    C(height of the end); monomials are (b, c) sorted exponent tuples."""
-    up = k // 2
-
-    def step(vector, d, g, g2):
-        if d <= up:
-            return (((_bump(b, g), c), coeff) for (b, c), coeff in vector.items())
-        return (((b, _bump(c, g2)), coeff) for (b, c), coeff in vector.items())
-
-    return step
-
-
-def _polynomial(sums: dict) -> WeightPolynomial:
-    """Lattice-DP sums {(b, c) exponent tuples: coefficient} as a polynomial."""
-    return WeightPolynomial({WeightMonomial(b, c): v for (b, c), v in sums.items()})
-
-
 def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of length
     k*n, restricted to height <= u when *u* is given, as a symbolic
-    polynomial, by the layered DP with `_weight_step`.
+    polynomial, by the layered DP with `weight_step`.
 
     Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`.
     Each path gives one monomial, so the path count bounds the terms; the
@@ -170,7 +144,7 @@ def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     where the sum has a single term."""
     if u is None:
         _check_cap(k, n)
-    return _polynomial(lattice_sum(k, n, ((), ()), _weight_step(k), height_bound=u))
+    return tag_polynomial(lattice_sum(k, n, MONOMIAL_ONE, weight_step, height_bound=u))
 
 
 def sswcn_lattice_value(
@@ -178,10 +152,9 @@ def sswcn_lattice_value(
 ) -> int:
     """`sswcn_lattice` evaluated at the weights *w*, reduced mod *modulus*
     after every step when given."""
-    up = k // 2
 
-    def step(vector, d, g, g2):
-        value = vector[None] * (w.b(g) if d <= up else w.c(g2))
+    def step(vector, kind, g, g2):
+        value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
         return ((None, value if modulus is None else value % modulus),)
 
     value = lattice_sum(k, n, None, step)[None]
@@ -201,10 +174,10 @@ def _normalize(p: Point) -> Point:
 
 def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
     """The k-step sub-ballot blocks from *a* with height <= u, summed by the
-    layered DP: {normalized endpoint: {(b, c) exponent tuples: coefficient}}.
+    layered DP: {normalized endpoint: {`weight_step` tag: coefficient}}.
     Distinct endpoints of k steps from *a* never normalize alike."""
     # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    walk = lattice_walk(k, a, tuple(c + k for c in a), k, ((), ()), _weight_step(k), u)
+    walk = lattice_walk(k, a, tuple(c + k for c in a), k, MONOMIAL_ONE, weight_step, u)
     return {_normalize(y): vector for y, vector in walk.items()}
 
 
@@ -274,7 +247,7 @@ def _transfer_matrix(k: int, u: int) -> TransferMatrix:
         level = states[len(rows) :]
         for state in level:
             blocks = _blocks(k, u, state)
-            rows.append({w: _polynomial(sums) for w, sums in blocks.items()})
+            rows.append({w: tag_polynomial(sums) for w, sums in blocks.items()})
         found = {w for row in rows[-len(level) :] for w in row}
         new = sorted(found.difference(states))
         for s in new:

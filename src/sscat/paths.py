@@ -1,8 +1,10 @@
-"""Points, step taxonomy, the ballot-successor rule, and the two walks
-built on it: pruned depth-first enumeration of ballot paths, for `sscat
-enumerate` and the brute-force oracles, and one layered lattice DP that
-sums over walks without enumerating them, for the box [0, n]^k and for
-the k-step blocks of the transfer matrix.
+"""Points, the semisymmetric height, step taxonomy, the ballot-successor
+rule, and the two walks built on it: pruned depth-first enumeration of
+ballot paths, for `sscat enumerate` and the brute-force oracles, and one
+layered lattice DP that sums over walks without enumerating them, for the
+box [0, n]^k and for the k-step blocks of the transfer matrix.  Both walks
+start from `ss_height_point`, and the DP hands each step its `StepKind`,
+so callers never re-derive the up/neutral/down split from a direction.
 
 A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
@@ -33,7 +35,6 @@ from .errors import (
 )
 
 Point = tuple[int, ...]
-Step = Callable[[dict, int, int, int], Iterable[tuple[Hashable, int]]]
 
 
 @lru_cache(maxsize=None)
@@ -42,6 +43,13 @@ def height_coefficients(k: int) -> tuple[int, ...]:
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
     return tuple(k + 1 - 2 * i for i in range(1, k + 1))
+
+
+def ss_height_point(p: Point) -> int:
+    """Semisymmetric height g_k of a point (ballotness not required)."""
+    if len(p) < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {len(p)}")
+    return sum(c * x for c, x in zip(height_coefficients(len(p)), p))
 
 
 class StepKind(Enum):
@@ -62,6 +70,9 @@ def step_class(k: int, direction: int) -> StepKind:
     if k % 2 == 1 and direction == k // 2 + 1:
         return StepKind.NEUTRAL
     return StepKind.DOWN
+
+
+Step = Callable[[dict, StepKind, int, int], Iterable[tuple[Hashable, int]]]
 
 
 def is_ballot_point(p: Point) -> bool:
@@ -176,7 +187,7 @@ def ballot_walks(
     Prunes any branch whose semisymmetric height exceeds *height_bound*.
     """
     coeffs = height_coefficients(k)
-    g0 = sum(c * v for c, v in zip(coeffs, start))
+    g0 = ss_height_point(start)
     if height_bound is not None and g0 > height_bound:
         return
     length = sum(top) - sum(start)
@@ -217,14 +228,16 @@ def lattice_walk(
     *length* steps deep; returns {endpoint: vector}.
 
     Every point carries a sparse vector {tag: coefficient}, starting from
-    {seed: 1} at *start*.  Moving a vector along a step in direction d
-    from a point of height g to one of height g2 is ``step(vector, d, g,
-    g2)``, which yields (tag, coefficient) pairs; pairs reaching the same
-    point are summed.  Steps (and a start) above *height_bound* are pruned.
-    Since a step's effect depends only on its end points, each endpoint's
-    vector sums the effect of every walk reaching it, visiting none."""
+    {seed: 1} at *start*.  Moving a vector along a step of kind
+    ``step_class(k, d)`` from a point of height g to one of height g2 is
+    ``step(vector, kind, g, g2)``, which yields (tag, coefficient) pairs;
+    pairs reaching the same point are summed.  Steps (and a start) above
+    *height_bound* are pruned.  Since a step's effect depends only on its
+    kind and end points, each endpoint's vector sums the effect of every
+    walk reaching it, visiting none."""
     coeffs = height_coefficients(k)
-    g0 = sum(c * v for c, v in zip(coeffs, start))
+    kinds = [step_class(k, d) for d in range(1, k + 1)]
+    g0 = ss_height_point(start)
     if height_bound is not None and g0 > height_bound:
         return {}
     layer: dict[Point, tuple[int, dict]] = {start: (g0, {seed: 1})}
@@ -237,7 +250,7 @@ def lattice_walk(
                     continue
                 y = x[: d - 1] + (x[d - 1] + 1,) + x[d:]
                 target = following.setdefault(y, (g2, {}))[1]
-                for tag, coeff in step(vector, d, g, g2):
+                for tag, coeff in step(vector, kinds[d - 1], g, g2):
                     target[tag] = target.get(tag, 0) + coeff
         layer = following
     return {x: vector for x, (_, vector) in layer.items()}

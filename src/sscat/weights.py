@@ -1,14 +1,16 @@
-"""Height statistics and the symbolic weight algebra.
+"""Path statistics and the symbolic weight algebra.
 
-Two height functions on points: the semisymmetric height
-g_k(x) = sum (k+1-2i) x_i, and the legacy height
-h_k(x) = (k-1) x_1 - x_2 - ... - x_k from the earlier generalization.
+Heights: the semisymmetric g_k(x) = sum (k+1-2i) x_i is in `paths`; the
+legacy h_k(x) = (k-1) x_1 - x_2 - ... - x_k, from the earlier
+generalization, is here.
 
 Weights are monomials in variables B(i) and C(j): an up-step contributes
 B(height of its starting point), every other step contributes C(height of
-its resulting point).  Sums of weights are sparse polynomials with exact
-integer coefficients, which the package only adds, compares, evaluates
-and prints.
+its resulting point).  This module owns the monomial format and the DP
+step that multiplies by a step's weight, `weight_step`; the per-path
+statistics keep their own arithmetic as the DP's oracles.  Sums of
+weights are sparse polynomials with exact integer coefficients, which the
+package only adds, compares, evaluates and prints.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidDimensionError
-from .paths import BallotPath, Point, height_coefficients
-
-
-def ss_height_point(p: Point) -> int:
-    """Semisymmetric height g_k of a point (ballotness not required)."""
-    if len(p) < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {len(p)}")
-    return sum(c * x for c, x in zip(height_coefficients(len(p)), p))
+from .paths import BallotPath, Point, StepKind, ss_height_point
 
 
 def legacy_height_point(p: Point) -> int:
@@ -106,6 +101,32 @@ class WeightMonomial(NamedTuple):
 
 
 MONOMIAL_ONE = WeightMonomial()
+
+
+def _bump(pairs: tuple[tuple[int, int], ...], index: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (index, exponent) tuple *pairs* with the exponent of
+    *index* raised by one."""
+    for pos, (i, e) in enumerate(pairs):
+        if i == index:
+            return pairs[:pos] + ((i, e + 1),) + pairs[pos + 1 :]
+        if i > index:
+            return pairs[:pos] + ((index, 1),) + pairs[pos:]
+    return pairs + ((index, 1),)
+
+
+def weight_step(vector: dict, kind: StepKind, g: int, g2: int):
+    """The lattice-DP step of the symbolic weight: an up-step multiplies each
+    monomial at its start by B(g), the height of the start, any other step
+    by C(g2), the height of the end.  Tags are monomials as (b, c) pairs of
+    exponent tuples; seed the walk with `MONOMIAL_ONE`."""
+    if kind is StepKind.UP:
+        return (((_bump(b, g), c), coeff) for (b, c), coeff in vector.items())
+    return (((b, _bump(c, g2)), coeff) for (b, c), coeff in vector.items())
+
+
+def tag_polynomial(sums: dict) -> "WeightPolynomial":
+    """Summed `weight_step` tags {(b, c): coefficient} as a polynomial."""
+    return WeightPolynomial({WeightMonomial(b, c): v for (b, c), v in sums.items()})
 
 
 def sswt(path: BallotPath) -> WeightMonomial:

@@ -34,7 +34,13 @@ from sscat import (
     verify_min_u_formulas,
 )
 from sscat.errors import TooLargeError
-from sscat.paths import ballot_successors
+from sscat.paths import (
+    StepKind,
+    ballot_successors,
+    height_coefficients,
+    lattice_walk,
+    step_class,
+)
 from tests.conftest import random_assignment
 
 ORACLE_PATHS = 10**5
@@ -171,3 +177,19 @@ def test_path_cap_applies_only_without_a_bound():
         sswcn_lattice(2, 16)
     # (3, 30) has far more than DEFAULT_PATH_CAP paths; at u <= 3 only one.
     assert verify_min_u_formulas(3, 30).checks[-1] == "(k=3, u=3, n=30) = B0^30"
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_lattice_walk_hands_each_step_its_kind(k):
+    # In the box [0, 1]^k the one balanced walk is 1, 2, ..., k, a step a layer.
+    seen = []
+
+    def step(vector, kind, g, g2):
+        seen.append((g2 - g, kind))
+        return vector.items()
+
+    walked = lattice_walk(k, (0,) * k, (1,) * k, k, None, step)
+    assert walked == {(1,) * k: {None: 1}}
+    rise = height_coefficients(k)
+    assert seen == [(rise[d - 1], step_class(k, d)) for d in range(1, k + 1)]
+    assert (StepKind.NEUTRAL in [kind for _, kind in seen]) == (k % 2 == 1)

@@ -18,6 +18,8 @@ from sscat import (
     ss_height_point,
     sswt,
 )
+from sscat.paths import StepKind
+from sscat.weights import MONOMIAL_ONE, tag_polynomial, weight_step
 
 
 def test_point_heights():
@@ -158,3 +160,14 @@ def test_polynomial_text():
     p = _poly([((([0], [])), 1), ((([2], [])), -1), (((), ()), 3)])
     assert p.text() == "3 + B0 - B2"
     assert WeightPolynomial().text() == "0"
+
+
+@pytest.mark.parametrize("kind", list(StepKind))
+def test_weight_step_takes_b_at_an_up_steps_start_else_c_at_the_end(kind):
+    g, g2 = 3, 5
+    vector = {MONOMIAL_ONE: 2}
+    for step in [(kind, g, g2), (kind, g, g2), (StepKind.UP, 1, 4)]:
+        vector = dict(weight_step(vector, *step))
+    b, c = ([g, g], []) if kind is StepKind.UP else ([], [g2, g2])
+    expected = WeightMonomial.from_indices(b + [1], c)
+    assert tag_polynomial(vector) == WeightPolynomial({expected: 2})
