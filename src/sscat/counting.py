@@ -4,18 +4,29 @@ brute force.
 `catalan_number` is the hook-length formula.  The `sswcn_lattice*`
 functions run the layered DP over the ballot points of the box, with the
 symbolic step of `weights` or a numeric one.
-`bounded_sswcn_dp` and `bounded_sequence` iterate the boundary-state
-transfer matrix, whose entries the same DP sums over the k-step blocks
-from each state.  The `*_brute` functions, the test oracle, share one
-loop, `_brute_sum`, that sums weights over enumerated paths.  Wherever
-these routes overlap they agree exactly.
+`bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
+T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
+same DP sums over the k-step blocks from each state.  Residues, and exact
+runs of fewer than `RECURRENCE_FROM` * S terms, iterate the orbit
+gamma_n = T gamma_{n-1}, one product per nonzero entry of T per step.
+Longer exact runs take the orbit's first 2S terms, find their minimal
+recurrence, of order d <= S, by Berlekamp-Massey modulo 62-bit primes
+lifted by the Chinese remainder theorem, and prove it over the integers
+on those 2S terms (Cayley-Hamilton bounds the residual's order by S);
+each further term is then one d-term sum.  Exact runs estimate their work
+up front and refuse it past `BOUNDED_WORK_BUDGET`.  The `*_brute`
+functions, the test oracle, share one loop, `_brute_sum`, that sums
+weights over enumerated paths.  Wherever these routes overlap they agree
+exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -273,19 +284,160 @@ def _apply(
 
 
 def _orbit(
-    k: int, u: int, w: WeightAssignment, modulus: Optional[int]
+    rows: list[list[tuple[int, int]]], modulus: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
     """The boundary vectors gamma_0 = e_0, gamma_n = T gamma_{n-1}, where T
-    is the u-bounded transfer matrix evaluated at *w*; every vector is
-    reduced mod *modulus* when one is given.  Component 0 of gamma_n is the
-    u-bounded weighted count of length k*n.  T is evaluated once."""
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    rows = _transfer_matrix(k, u).evaluated(w, modulus)
+    is the transfer matrix with the evaluated sparse *rows*; every vector
+    is reduced mod *modulus* when one is given.  Component 0 of gamma_n is
+    the u-bounded weighted count of length k*n."""
     gamma = (1 if modulus is None else 1 % modulus,) + (0,) * (len(rows) - 1)
     while True:
         yield gamma
         gamma = _apply(rows, gamma, modulus)
+
+
+# Exact runs of at least RECURRENCE_FROM * S terms, S the number of states,
+# take the minimal recurrence: below that, finding it costs more than the
+# orbit steps it saves.
+RECURRENCE_FROM = 4
+
+# Berlekamp-Massey runs modulo these primes, the 24 largest below 2^62.
+# A prime that divides a discrepancy finds too short a recurrence; the
+# capacity leaves room for two such primes.
+_PRIMES = tuple(
+    (1 << 62) - d
+    for d in (57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317)
+    + (443, 483, 495, 575, 581, 603, 633, 663, 765, 773, 777, 791)
+)
+_CAPACITY = math.prod(_PRIMES[2:])
+
+# Budget of one exact bounded run: terms summed per step (the recurrence's
+# order, at most S, or the orbit's nonzeros) times the bits of every count
+# up to n, bounded up front as bits(a_i) <= i * bits(R) + 1, R the largest
+# absolute row sum of the evaluated matrix.  `bounded 3 30 16000`
+# estimates 2.9e10 and takes about 5 s on a 2-core VM with Python 3.11;
+# the budget admits n up to about 34,000 there.
+BOUNDED_WORK_BUDGET = 2**37
+
+
+def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
+    """The shortest recurrence a_n = q_1 a_{n-1} + ... + q_L a_{n-L} that
+    generates *terms*, residues mod the prime *p*, as [q_1, ..., q_L] mod p
+    (Massey, 1969)."""
+    c, b = [1], [1]  # connection polynomials: now and before the last lengthening
+    length, gap, last = 0, 1, 1
+    for n in range(len(terms)):
+        delta = sum(map(mul, c, terms[n::-1])) % p
+        if delta == 0:
+            gap += 1
+            continue
+        scale = delta * pow(last, -1, p) % p
+        previous = c
+        c = c + [0] * (len(b) + gap - len(c))
+        for i, x in enumerate(b):
+            c[i + gap] = (c[i + gap] - scale * x) % p
+        if 2 * length <= n:
+            length, b, last, gap = n + 1 - length, previous, delta, 1
+        else:
+            gap += 1
+    c += [0] * (length + 1 - len(c))
+    return [-x % p for x in c[1 : length + 1]]
+
+
+def _proves(terms: list[int], size: int, q: list[int]) -> bool:
+    """Whether a_n = q_1 a_{n-1} + ... + q_d a_{n-d} for every n >= d, where
+    *terms* are a_0, ..., a_{2S-1} of the orbit of an S x S matrix T.
+
+    The residual r_n = a_n - q_1 a_{n-1} - ... - q_d a_{n-d} (n >= d) is
+    e_0^T P(T) T^(n-d) e_0 for a polynomial P, so the characteristic
+    polynomial of T, of degree S, annihilates it too (Cayley-Hamilton):
+    zero at n = d, ..., d + S - 1, it is zero for every n.  Those indices
+    lie within the terms exactly when d <= S."""
+    d = len(q)
+    return len(terms) >= d + size and all(
+        terms[n] == sum(map(mul, q, reversed(terms[n - d : n])))
+        for n in range(d, len(terms))
+    )
+
+
+def _minimal_recurrence(terms: list[int], size: int) -> list[int]:
+    """The minimal integer recurrence [q_1, ..., q_d] of the counts whose
+    first 2S *terms* are given, proved by `_proves`.
+
+    Berlekamp-Massey modulo each prime of `_PRIMES` in turn only searches:
+    its order never exceeds the true one, so the longest order seen wins,
+    and primes that agree on it are combined by the Chinese remainder
+    theorem into symmetric integer coefficients until those pass the
+    proof.  Running out of primes raises `FormulaViolationError`."""
+    order, modulus, lifted = -1, 1, []
+    for p in _PRIMES:
+        found = _berlekamp_massey([a % p for a in terms], p)
+        if len(found) < order:
+            continue
+        if len(found) > order:
+            order, modulus, lifted = len(found), 1, [0] * len(found)
+        inverse = pow(modulus, -1, p)
+        lifted = [x + modulus * ((r - x) * inverse % p) for x, r in zip(lifted, found)]
+        modulus *= p
+        q = [x - modulus if 2 * x > modulus else x for x in lifted]
+        if _proves(terms, size, q):
+            return q
+    raise FormulaViolationError(
+        f"no recurrence found modulo {len(_PRIMES)} primes is proved on the "
+        f"first {len(terms)} counts (order <= {size})",
+        expected=terms,
+        actual=q,
+    )
+
+
+def _recurrence_counts(rows: list[list[tuple[int, int]]], stop: int) -> Iterator[int]:
+    """The exact counts a_0, ..., a_{stop-1}, for stop >= 2S: the first 2S
+    from `_orbit`, the rest from the minimal recurrence they prove, each
+    one d-term sum over a window of the last d counts."""
+    size = len(rows)
+    head = [gamma[0] for gamma in islice(_orbit(rows, None), 2 * size)]
+    yield from head
+    q = _minimal_recurrence(head, size)
+    window = deque(head[-len(q) :], maxlen=len(q))
+    reverse = q[::-1]
+    for _ in range(stop - len(head)):
+        a = sum(map(mul, reverse, window))
+        window.append(a)
+        yield a
+
+
+def _counts(
+    k: int, u: int, w: WeightAssignment, modulus: Optional[int], stop: int
+) -> Iterator[int]:
+    """The u-bounded weighted counts a_0, ..., a_{stop-1} (mod *modulus*
+    when given), with T evaluated once.
+
+    Residues and short runs read component 0 of `_orbit`.  An exact run of
+    at least RECURRENCE_FROM * S terms takes `_recurrence_counts`, when the
+    primes can hold the recurrence's coefficients: its roots are
+    eigenvalues of T, at most R in absolute value, so no coefficient
+    exceeds (1 + R)^S.  An exact run past `BOUNDED_WORK_BUDGET` raises
+    `TooLargeError` before any step."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    rows = _transfer_matrix(k, u).evaluated(w, modulus)
+    if modulus is None:
+        size = len(rows)
+        growth = max(sum(abs(v) for _, v in row) for row in rows)
+        recurrence = (
+            stop >= RECURRENCE_FROM * size and 2 * (1 + growth) ** size < _CAPACITY
+        )
+        width = size if recurrence else sum(map(len, rows))
+        work = width * (growth.bit_length() * stop * (stop - 1) // 2 + stop)
+        if work > BOUNDED_WORK_BUDGET:
+            raise TooLargeError(
+                f"exact bounded counts for (k={k}, u={u}) up to n={stop - 1} "
+                f"need an estimated {work} term-bits, over BOUNDED_WORK_BUDGET "
+                f"= {BOUNDED_WORK_BUDGET}"
+            )
+        if recurrence:
+            return _recurrence_counts(rows, stop)
+    return (gamma[0] for gamma in islice(_orbit(rows, modulus), stop))
 
 
 def bounded_sswcn_dp(
@@ -296,10 +448,10 @@ def bounded_sswcn_dp(
     modulus: Optional[int] = None,
 ) -> int:
     """The u-bounded weighted count of length k*n (mod *modulus* when
-    given): component 0 of gamma_n in `_orbit`."""
+    given): the last of `_counts` up to n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    return next(islice(_orbit(k, u, w, modulus), n, None))[0]
+    return deque(_counts(k, u, w, modulus, n + 1), maxlen=1)[0]
 
 
 def bounded_sequence(
@@ -310,8 +462,8 @@ def bounded_sequence(
     modulus: Optional[int] = None,
 ) -> list[int]:
     """The u-bounded weighted counts of lengths 0, k, ..., k*(count-1)
-    (mod *modulus* when given), from one pass over `_orbit`."""
-    return [gamma[0] for gamma in islice(_orbit(k, u, w, modulus), count)]
+    (mod *modulus* when given), from one pass of `_counts`."""
+    return list(_counts(k, u, w, modulus, count))
 
 
 def max_path_height(k: int, n: int) -> int:

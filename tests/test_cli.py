@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import islice
 
@@ -239,6 +241,26 @@ def test_closed_stdout_ends_quietly(argv, read):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0 and err == b""
+
+
+def test_exact_bounded_past_its_budget_exits_2_at_once():
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "sscat.cli", "bounded", "3", "30", "1000000"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+        preexec_fn=limit_address_space,
+    )
+    assert time.monotonic() - start < 5
+    assert done.returncode == 2 and done.stdout == b""
+    assert b"BOUNDED_WORK_BUDGET" in done.stderr
 
 
 def test_sswcn_symbolic_and_numeric(capsys):

@@ -1,17 +1,20 @@
 import itertools
 import math
 import random
+from itertools import islice
 
 import pytest
 
 from sscat import (
     ALL_ONES,
     BallotPath,
+    FormulaViolationError,
     InvalidDimensionError,
     InvalidStateError,
     TooLargeError,
     WeightAssignment,
     WeightPolynomial,
+    bounded_sequence,
     bounded_sswcn_brute,
     bounded_sswcn_dp,
     build_state_space,
@@ -27,6 +30,7 @@ from sscat import (
 from sscat import counting
 from sscat.counting import _transfer_matrix
 from sscat.errors import InvalidPathError
+from sscat.paths import StepKind, lattice_sum
 from tests.conftest import random_assignment
 
 
@@ -260,3 +264,126 @@ def test_height_extremes():
     assert min_path_height(5) == 6
     assert max_path_height(3, 4) == 8
     assert max_path_height(4, 3) == 12
+
+
+def orbit_counts(k, u, w, count):
+    """The first *count* exact counts, read off the orbit alone."""
+    rows = _transfer_matrix(k, u).evaluated(w)
+    return [gamma[0] for gamma in islice(counting._orbit(rows, None), count)]
+
+
+RECURRENCE_SIZES = ((3, 12), (3, 20), (3, 30), (4, 24), (5, 20), (5, 30))
+
+
+@pytest.fixture
+def recurrences(monkeypatch):
+    """Every recurrence `_minimal_recurrence` returns, in call order."""
+    found = []
+    search = counting._minimal_recurrence
+
+    def recorded(terms, size):
+        found.append(search(terms, size))
+        return found[-1]
+
+    monkeypatch.setattr(counting, "_minimal_recurrence", recorded)
+    return found
+
+
+@pytest.mark.parametrize("k,u", RECURRENCE_SIZES)
+def test_recurrence_route_matches_the_orbit_for_every_small_n(k, u, recurrences):
+    rng = random.Random(20261018 + 100 * k + u)
+    zero_fill = WeightAssignment((1,) * 6, 0)
+    size = len(build_state_space(k, u))
+    threshold = counting.RECURRENCE_FROM * size
+    for w in (ALL_ONES, random_assignment(rng), random_assignment(rng), zero_fill):
+        expected = orbit_counts(k, u, w, 201)
+        recurrences.clear()
+        assert bounded_sequence(k, u, 201, w) == expected, w
+        assert bounded_sequence(k, u, threshold - 1, w) == expected[: threshold - 1], w
+        for n in (threshold - 2, threshold - 1, 200):
+            assert bounded_sswcn_dp(k, u, n, w) == expected[n], (w, n)
+        # the recurrence answers exactly the runs of at least 4S terms
+        assert len(recurrences) == 3, w
+        if w is zero_fill:
+            # the minimal polynomial has an x^j factor
+            assert all(q[-1] == 0 for q in recurrences)
+
+
+def test_coefficients_past_the_primes_capacity_take_the_orbit(recurrences):
+    # every weight x makes R >= x, and x^S passes the primes' product
+    for k, u in ((3, 12), (4, 24)):
+        size = len(build_state_space(k, u))
+        w = WeightAssignment((), 2 ** (1400 // size + 1))
+        count = counting.RECURRENCE_FROM * size + 1
+        assert bounded_sequence(k, u, count, w) == orbit_counts(k, u, w, count)
+    assert not recurrences
+
+
+def bounded_lattice_mod(k, u, n, w, p):
+    """The u-bounded count of length k*n mod p by the height-bounded
+    lattice DP, which never builds the state space."""
+
+    def step(vector, kind, g, g2):
+        value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
+        return ((None, value % p),)
+
+    return lattice_sum(k, n, None, step, height_bound=u).get(None, 0) % p
+
+
+@pytest.mark.parametrize("k,u,n", [(3, 30, 300), (3, 20, 400), (4, 24, 150)])
+def test_large_n_exact_counts_match_the_bounded_lattice_mod_primes(k, u, n, recurrences):
+    w = random_assignment(random.Random(k * 1000 + u * 10 + n))
+    exact = bounded_sswcn_dp(k, u, n, w)
+    assert len(recurrences) == 1
+    for p in (1000003, 2**61 - 1):
+        assert exact % p == bounded_lattice_mod(k, u, n, w, p), p
+
+
+def test_the_proof_rejects_a_wrong_or_unprovable_recurrence(monkeypatch):
+    size = len(build_state_space(3, 30))
+    terms = orbit_counts(3, 30, ALL_ONES, 2 * size)
+    q = counting._minimal_recurrence(terms, size)
+    assert len(q) == size and counting._proves(terms, size, q)
+    perturbed = q[:7] + [q[7] + 1] + q[8:]
+    assert not counting._proves(terms, size, perturbed)
+    # times (x - 1): a true recurrence of every term, but of order S + 1,
+    # which 2S terms cannot prove
+    poly = [1] + [-c for c in q] + [0]
+    longer = [-(poly[i] - poly[i - 1]) for i in range(1, size + 2)]
+    assert all(
+        terms[n] == sum(c * terms[n - i] for i, c in enumerate(longer, 1))
+        for n in range(size + 1, len(terms))
+    )
+    assert not counting._proves(terms, size, longer)
+    for wrong in (perturbed, longer):
+        monkeypatch.setattr(counting, "_berlekamp_massey", lambda terms, p: [c % p for c in wrong])
+        with pytest.raises(FormulaViolationError):
+            bounded_sswcn_dp(3, 30, 300)
+
+
+def test_an_unlucky_prime_does_not_derail_the_search(monkeypatch):
+    # a prime that divides a discrepancy finds too short a recurrence;
+    # simulate one first and one after the true order is known
+    search = counting._berlekamp_massey
+    calls = []
+
+    def unlucky(terms, p):
+        calls.append(p)
+        found = search(terms, p)
+        return found[:-1] if len(calls) in (1, 3) else found
+
+    monkeypatch.setattr(counting, "_berlekamp_massey", unlucky)
+    assert bounded_sswcn_dp(3, 30, 300) == orbit_counts(3, 30, ALL_ONES, 301)[-1]
+    assert len(calls) >= 4
+
+
+def test_exact_bounded_work_budget():
+    for call in (
+        lambda: bounded_sswcn_dp(3, 30, 10**6),
+        lambda: bounded_sequence(3, 30, 10**6 + 1),
+        lambda: bounded_sswcn_dp(3, 12, 10**5, WeightAssignment((), 10**20)),
+    ):
+        with pytest.raises(TooLargeError, match="BOUNDED_WORK_BUDGET"):
+            call()
+    # the estimate is made before any step: `bounded 3 30 16000` stays in
+    counting._counts(3, 30, ALL_ONES, None, 16001)

@@ -15,9 +15,12 @@ import sscat
 
 SRC = os.path.dirname(os.path.dirname(sscat.__file__))
 
-# Loaded by neither `period` nor `count`.
+# Loaded by none of the commands below.  A `Fraction` or `Decimal` in the
+# exact `bounded` route would cost every run their import.
 UNUSED = {
     "dataclasses",
+    "decimal",
+    "fractions",
     "inspect",
     "json",
     "sscat.triangles",
@@ -47,7 +50,14 @@ def test_import_sscat_loads_no_submodule():
 
 
 @pytest.mark.parametrize(
-    "argv", [["period", "3", "4", "--mod", "5"], ["count", "2", "1"]], ids=" ".join
+    "argv",
+    [
+        ["period", "3", "4", "--mod", "5"],
+        ["count", "2", "1"],
+        # past RECURRENCE_FROM * S terms: the recurrence route
+        ["bounded", "3", "30", "300"],
+    ],
+    ids=" ".join,
 )
 def test_a_command_loads_only_what_it_runs(argv):
     loaded = _modules_after(f"from sscat.cli import main\nmain({json.dumps(argv)})")
