@@ -6,15 +6,17 @@ functions run the layered DP over the ballot points of the box, with the
 symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
 T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
-same DP sums over the k-step blocks from each state.  Residues, and exact
-runs of fewer than `RECURRENCE_FROM` * S terms, iterate the orbit
-gamma_n = T gamma_{n-1}, one product per nonzero entry of T per step.
-Longer exact runs take the orbit's first 2S terms, find their minimal
-recurrence, of order d <= S, by Berlekamp-Massey modulo 62-bit primes
-lifted by the Chinese remainder theorem, and prove it over the integers
-on those 2S terms (Cayley-Hamilton bounds the residual's order by S);
-each further term is then one d-term sum.  Exact runs estimate their work
-up front and refuse it past `BOUNDED_WORK_BUDGET`.  The `*_brute`
+same DP sums over the k-step blocks from each state.  Runs of fewer than
+`RECURRENCE_FROM` * S terms iterate the orbit gamma_n = T gamma_{n-1},
+one product per nonzero entry of T per step.  Longer runs take the
+orbit's first 2S exact terms, find their minimal recurrence, of order
+d <= S, by Berlekamp-Massey modulo 62-bit primes lifted by the Chinese
+remainder theorem, and prove it over the integers on those 2S terms
+(Cayley-Hamilton bounds the residual's order by S); each further term is
+then one d-term sum.  A recurrence over the integers holds mod every m,
+so a modulus never picks the route: it only reduces the orbit's vectors,
+or the recurrence's head, coefficients and sums.  Every run estimates
+its work up front and refuses it past `BOUNDED_WORK_BUDGET`.  The `*_brute`
 functions, the test oracle, share one loop, `_brute_sum`, that sums
 weights over enumerated paths.  Wherever these routes overlap they agree
 exactly.
@@ -296,8 +298,8 @@ def _orbit(
         gamma = _apply(rows, gamma, modulus)
 
 
-# Exact runs of at least RECURRENCE_FROM * S terms, S the number of states,
-# take the minimal recurrence: below that, finding it costs more than the
+# Runs of at least RECURRENCE_FROM * S terms, S the number of states, take
+# the minimal recurrence: below that, finding it costs more than the
 # orbit steps it saves.
 RECURRENCE_FROM = 4
 
@@ -311,13 +313,21 @@ _PRIMES = tuple(
 )
 _CAPACITY = math.prod(_PRIMES[2:])
 
-# Budget of one exact bounded run: terms summed per step (the recurrence's
+# Budget of one bounded run: terms summed per step (the recurrence's
 # order, at most S, or the orbit's nonzeros) times the bits of every count
 # up to n, bounded up front as bits(a_i) <= i * bits(R) + 1, R the largest
-# absolute row sum of the evaluated matrix.  `bounded 3 30 16000`
-# estimates 2.9e10 and takes about 5 s on a 2-core VM with Python 3.11;
-# the budget admits n up to about 34,000 there.
+# absolute row sum of the evaluated matrix, or by bits(m) for residues
+# mod m.  `bounded 3 30 16000` estimates 2.9e10 and takes about 5 s on a
+# 2-core VM with Python 3.11; the budget admits n up to about 34,000 there.
 BOUNDED_WORK_BUDGET = 2**37
+
+# The least work a count is charged per term, in term-bits: one product of
+# small integers costs what big-integer sums cost per PRODUCT_BITS bits.
+# Measured at (k, u) = (3, 30) on a 2-core VM with Python 3.11: a
+# recurrence product mod 1000003 took 64-80 ns (166 ns mod 2^61 - 1), and
+# the exact `bounded 3 30 16000` took 124-188 ps per estimated term-bit.
+# The budget admits `bounded 3 30 n --mod 1000003` up to n of about 5.8e6.
+PRODUCT_BITS = 2**9
 
 
 def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
@@ -390,18 +400,25 @@ def _minimal_recurrence(terms: list[int], size: int) -> list[int]:
     )
 
 
-def _recurrence_counts(rows: list[list[tuple[int, int]]], stop: int) -> Iterator[int]:
-    """The exact counts a_0, ..., a_{stop-1}, for stop >= 2S: the first 2S
-    from `_orbit`, the rest from the minimal recurrence they prove, each
-    one d-term sum over a window of the last d counts."""
+def _recurrence_counts(
+    rows: list[list[tuple[int, int]]], modulus: Optional[int], stop: int
+) -> Iterator[int]:
+    """The counts a_0, ..., a_{stop-1} (mod *modulus* when given), for
+    stop >= 2S: the first 2S exactly from `_orbit`, the rest from the
+    minimal recurrence they prove over the integers, each one d-term sum
+    over a window of the last d counts.  A modulus reduces the head and
+    the coefficients once, and each sum as it is appended."""
     size = len(rows)
-    head = [gamma[0] for gamma in islice(_orbit(rows, None), 2 * size)]
+    exact = [gamma[0] for gamma in islice(_orbit(rows, None), 2 * size)]
+    head = exact if modulus is None else [a % modulus for a in exact]
     yield from head
-    q = _minimal_recurrence(head, size)
+    q = _minimal_recurrence(exact, size)
     window = deque(head[-len(q) :], maxlen=len(q))
-    reverse = q[::-1]
+    reverse = [c if modulus is None else c % modulus for c in reversed(q)]
     for _ in range(stop - len(head)):
         a = sum(map(mul, reverse, window))
+        if modulus is not None:
+            a %= modulus
         window.append(a)
         yield a
 
@@ -410,33 +427,35 @@ def _counts(
     k: int, u: int, w: WeightAssignment, modulus: Optional[int], stop: int
 ) -> Iterator[int]:
     """The u-bounded weighted counts a_0, ..., a_{stop-1} (mod *modulus*
-    when given), with T evaluated once.
+    when given), with T evaluated once, exactly.
 
-    Residues and short runs read component 0 of `_orbit`.  An exact run of
-    at least RECURRENCE_FROM * S terms takes `_recurrence_counts`, when the
-    primes can hold the recurrence's coefficients: its roots are
-    eigenvalues of T, at most R in absolute value, so no coefficient
-    exceeds (1 + R)^S.  An exact run past `BOUNDED_WORK_BUDGET` raises
-    `TooLargeError` before any step."""
+    The route depends on the run alone, never on the modulus.  Short runs
+    read component 0 of `_orbit`.  A run of at least RECURRENCE_FROM * S
+    terms takes `_recurrence_counts`, when the primes can hold the
+    recurrence's coefficients: its roots are eigenvalues of T, at most R
+    in absolute value, so no coefficient exceeds (1 + R)^S.  A run whose
+    estimated work passes `BOUNDED_WORK_BUDGET` raises `TooLargeError`
+    before any step."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    rows = _transfer_matrix(k, u).evaluated(w, modulus)
-    if modulus is None:
-        size = len(rows)
-        growth = max(sum(abs(v) for _, v in row) for row in rows)
-        recurrence = (
-            stop >= RECURRENCE_FROM * size and 2 * (1 + growth) ** size < _CAPACITY
+    rows = _transfer_matrix(k, u).evaluated(w)
+    size = len(rows)
+    growth = max(sum(abs(v) for _, v in row) for row in rows)
+    recurrence = stop >= RECURRENCE_FROM * size and 2 * (1 + growth) ** size < _CAPACITY
+    width = size if recurrence else sum(map(len, rows))
+    bits = growth.bit_length() * stop * (stop - 1) // 2 + stop
+    if modulus is not None:
+        bits = min(bits, modulus.bit_length() * stop)
+    work = width * max(bits, PRODUCT_BITS * stop)
+    if work > BOUNDED_WORK_BUDGET:
+        residues = "" if modulus is None else f" mod {modulus}"
+        raise TooLargeError(
+            f"bounded counts for (k={k}, u={u}) up to n={stop - 1}{residues} "
+            f"need an estimated {work} term-bits, over BOUNDED_WORK_BUDGET "
+            f"= {BOUNDED_WORK_BUDGET}"
         )
-        width = size if recurrence else sum(map(len, rows))
-        work = width * (growth.bit_length() * stop * (stop - 1) // 2 + stop)
-        if work > BOUNDED_WORK_BUDGET:
-            raise TooLargeError(
-                f"exact bounded counts for (k={k}, u={u}) up to n={stop - 1} "
-                f"need an estimated {work} term-bits, over BOUNDED_WORK_BUDGET "
-                f"= {BOUNDED_WORK_BUDGET}"
-            )
-        if recurrence:
-            return _recurrence_counts(rows, stop)
+    if recurrence:
+        return _recurrence_counts(rows, modulus, stop)
     return (gamma[0] for gamma in islice(_orbit(rows, modulus), stop))
 
 

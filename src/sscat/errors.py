@@ -32,7 +32,7 @@ class InvalidStateError(SscatError):
 class TooLargeError(SscatError):
     """A computation would pass a fixed budget: the path cap of the brute-force
     oracles and `sswcn_lattice`, the period search's work and table limits,
-    or the estimated work of an exact bounded count (`BOUNDED_WORK_BUDGET`)."""
+    or the estimated work of a bounded count (`BOUNDED_WORK_BUDGET`)."""
 
 
 class InvalidTableauError(SscatError):

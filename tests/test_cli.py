@@ -243,7 +243,15 @@ def test_closed_stdout_ends_quietly(argv, read):
     assert proc.wait(timeout=60) == 0 and err == b""
 
 
-def test_exact_bounded_past_its_budget_exits_2_at_once():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounded", "3", "30", "1000000"],
+        ["bounded", "3", "30", "100000000", "--mod", "1000003"],
+    ],
+    ids=" ".join,
+)
+def test_exact_bounded_past_its_budget_exits_2_at_once(argv):
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
 
@@ -252,7 +260,7 @@ def test_exact_bounded_past_its_budget_exits_2_at_once():
 
     start = time.monotonic()
     done = subprocess.run(
-        [sys.executable, "-m", "sscat.cli", "bounded", "3", "30", "1000000"],
+        [sys.executable, "-m", "sscat.cli", *argv],
         capture_output=True,
         env=env,
         timeout=60,

@@ -266,10 +266,11 @@ def test_height_extremes():
     assert max_path_height(4, 3) == 12
 
 
-def orbit_counts(k, u, w, count):
-    """The first *count* exact counts, read off the orbit alone."""
-    rows = _transfer_matrix(k, u).evaluated(w)
-    return [gamma[0] for gamma in islice(counting._orbit(rows, None), count)]
+def orbit_counts(k, u, w, count, modulus=None):
+    """The first *count* counts (mod *modulus* when given), read off the
+    orbit alone."""
+    rows = _transfer_matrix(k, u).evaluated(w, modulus)
+    return [gamma[0] for gamma in islice(counting._orbit(rows, modulus), count)]
 
 
 RECURRENCE_SIZES = ((3, 12), (3, 20), (3, 30), (4, 24), (5, 20), (5, 30))
@@ -295,15 +296,17 @@ def test_recurrence_route_matches_the_orbit_for_every_small_n(k, u, recurrences)
     zero_fill = WeightAssignment((1,) * 6, 0)
     size = len(build_state_space(k, u))
     threshold = counting.RECURRENCE_FROM * size
-    for w in (ALL_ONES, random_assignment(rng), random_assignment(rng), zero_fill):
-        expected = orbit_counts(k, u, w, 201)
+    weights = (ALL_ONES, random_assignment(rng), random_assignment(rng), zero_fill)
+    for w, m in itertools.product(weights, (None, 1, 12, 1000003, 2**61 - 1)):
+        # residues take the route of exact runs: a modulus only reduces
+        expected = orbit_counts(k, u, w, 201, m)
         recurrences.clear()
-        assert bounded_sequence(k, u, 201, w) == expected, w
-        assert bounded_sequence(k, u, threshold - 1, w) == expected[: threshold - 1], w
+        assert bounded_sequence(k, u, 201, w, m) == expected, (w, m)
+        assert bounded_sequence(k, u, threshold - 1, w, m) == expected[: threshold - 1], (w, m)
         for n in (threshold - 2, threshold - 1, 200):
-            assert bounded_sswcn_dp(k, u, n, w) == expected[n], (w, n)
+            assert bounded_sswcn_dp(k, u, n, w, m) == expected[n], (w, m, n)
         # the recurrence answers exactly the runs of at least 4S terms
-        assert len(recurrences) == 3, w
+        assert len(recurrences) == 3, (w, m)
         if w is zero_fill:
             # the minimal polynomial has an x^j factor
             assert all(q[-1] == 0 for q in recurrences)
@@ -316,6 +319,9 @@ def test_coefficients_past_the_primes_capacity_take_the_orbit(recurrences):
         w = WeightAssignment((), 2 ** (1400 // size + 1))
         count = counting.RECURRENCE_FROM * size + 1
         assert bounded_sequence(k, u, count, w) == orbit_counts(k, u, w, count)
+        # a modulus does not change the route
+        residues = bounded_sequence(k, u, count, w, 1000003)
+        assert residues == orbit_counts(k, u, w, count, 1000003)
     assert not recurrences
 
 
@@ -336,7 +342,10 @@ def test_large_n_exact_counts_match_the_bounded_lattice_mod_primes(k, u, n, recu
     exact = bounded_sswcn_dp(k, u, n, w)
     assert len(recurrences) == 1
     for p in (1000003, 2**61 - 1):
-        assert exact % p == bounded_lattice_mod(k, u, n, w, p), p
+        expected = bounded_lattice_mod(k, u, n, w, p)
+        assert exact % p == expected, p
+        assert bounded_sswcn_dp(k, u, n, w, p) == expected, p
+    assert len(recurrences) == 3
 
 
 def test_the_proof_rejects_a_wrong_or_unprovable_recurrence(monkeypatch):
@@ -382,8 +391,16 @@ def test_exact_bounded_work_budget():
         lambda: bounded_sswcn_dp(3, 30, 10**6),
         lambda: bounded_sequence(3, 30, 10**6 + 1),
         lambda: bounded_sswcn_dp(3, 12, 10**5, WeightAssignment((), 10**20)),
+        # residues: each product is charged at least PRODUCT_BITS
+        lambda: bounded_sswcn_dp(3, 30, 10**8, modulus=1000003),
+        lambda: bounded_sequence(3, 30, 10**7, modulus=2**61 - 1),
+        lambda: bounded_sswcn_dp(3, 12, 10**9, modulus=1),
+        # and so are exact counts that never grow
+        lambda: bounded_sswcn_dp(3, 30, 10**8, WeightAssignment((), 0)),
     ):
         with pytest.raises(TooLargeError, match="BOUNDED_WORK_BUDGET"):
             call()
-    # the estimate is made before any step: `bounded 3 30 16000` stays in
+    # the estimate is made before any step: `bounded 3 30 16000` stays in,
+    # and so do its residues up to n = 5 * 10**6
     counting._counts(3, 30, ALL_ONES, None, 16001)
+    counting._counts(3, 30, ALL_ONES, 1000003, 5 * 10**6 + 1)

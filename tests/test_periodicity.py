@@ -9,14 +9,18 @@ from sscat import (
     PeriodReport,
     WeightAssignment,
     bounded_sequence,
+    bounded_sswcn_dp,
+    build_state_space,
     catalan_number,
     check_entrywise_divisibility,
     check_pairwise_product_divisibility,
     detect_eventual_period,
     min_path_height,
     sswcn_brute,
+    sswcn_lattice_value,
     unbounded_sswcn_mod,
 )
+from sscat import counting
 from sscat.cli import main
 from sscat.counting import _transfer_matrix
 from tests.conftest import random_assignment
@@ -269,7 +273,33 @@ def test_unbounded_mod_with_pairwise_certificate():
         assert value == sswcn_brute(2, n).evaluate(w, 4)
 
 
-def test_unbounded_mod_random_assignments_satisfying_entrywise():
+def window_case(rng, kind, sequence):
+    """A seeded (k, m, w, broken) whose weights satisfy *kind*'s hypothesis
+    on a window of *sequence* ('b' or 'c') at a random u, and no other:
+    every entry outside the window is a unit mod m.  *broken* has units in
+    the window too, so it satisfies no hypothesis."""
+    k, u = rng.choice((2, 3, 4)), rng.randint(1, 3)
+    p = rng.choice((2, 3))
+    m = p * p if kind == "pairwise-product" else rng.choice((2, 3, 4, 6))
+    pool = [x for x in range(1, 3 * m) if x % p and x % m]
+
+    def units(length):
+        return [rng.choice(pool) for _ in range(length)]
+
+    b, c, fill = units(u + 2 * k), units(u + 2 * k), units(2)
+    broken = WeightAssignment(tuple(b), fill[0], tuple(c), fill[1])
+    if kind == "pairwise-product":
+        # multiples of p, never of p^2: each product of two is 0 mod m
+        window, start, size = b, u, 2 * k
+        multiples = [p * x for x in units(size)]
+    else:
+        window, start, size = (b, u, k) if sequence == "b" else (c, u - 1, k)
+        multiples = [m * rng.randint(1, 3) for _ in range(size)]
+    window[start : start + size] = multiples
+    return k, m, WeightAssignment(tuple(b), fill[0], tuple(c), fill[1]), broken
+
+
+def test_unbounded_mod_random_assignments_satisfying_entrywise(monkeypatch):
     rng = random.Random(99)
     for _ in range(3):
         base = random_assignment(rng, lo=-4, hi=4, length=2)
@@ -283,6 +313,35 @@ def test_unbounded_mod_random_assignments_satisfying_entrywise():
                 value, cert = unbounded_sswcn_mod(k, n, w, 3)
                 assert cert.kind == "entrywise"
                 assert value == sswcn_brute(k, n).evaluate(w, 3)
+    # the truncation theorem at n >= 4S, where the bounded count takes the
+    # recurrence route; the lattice DP covers the whole box, never T
+    searches = []
+    search = counting._minimal_recurrence
+
+    def recorded(terms, size):
+        searches.append(size)
+        return search(terms, size)
+
+    monkeypatch.setattr(counting, "_minimal_recurrence", recorded)
+    cut = broken_differs = 0
+    hypotheses = (("entrywise", "b", 1), ("entrywise", "c", 2), ("pairwise-product", "b", None))
+    for kind, sequence, condition in hypotheses * 5:
+        k, m, w, broken = window_case(rng, kind, sequence)
+        bound = unbounded_sswcn_mod(k, 0, w, m)[1].bound
+        n = 4 * len(build_state_space(k, bound)) + rng.randint(0, 4)
+        searches.clear()
+        value, cert = unbounded_sswcn_mod(k, n, w, m)
+        assert (cert.kind, cert.condition) == (kind, condition), w
+        assert len(searches) == 1, w
+        assert value == sswcn_lattice_value(k, n, w, m), (k, m, w, n)
+        cut += bounded_sswcn_dp(k, bound, n, w) != sswcn_lattice_value(k, n, w)
+        # negative control: without the divisible window the cut shows
+        truncated = bounded_sswcn_dp(k, bound, n, broken, m)
+        broken_differs += truncated != sswcn_lattice_value(k, n, broken, m)
+    # the bound cuts paths of nonzero weight in most cases, and without the
+    # window the cut changes the residue in several
+    assert cut >= 12
+    assert broken_differs >= 5
 
 
 def test_unbounded_mod_lattice_fallback():

@@ -54,8 +54,9 @@ def test_import_sscat_loads_no_submodule():
     [
         ["period", "3", "4", "--mod", "5"],
         ["count", "2", "1"],
-        # past RECURRENCE_FROM * S terms: the recurrence route
+        # past RECURRENCE_FROM * S terms, exact or mod m: the recurrence route
         ["bounded", "3", "30", "300"],
+        ["bounded", "3", "30", "300", "--mod", "7"],
     ],
     ids=" ".join,
 )
