@@ -187,7 +187,9 @@ def _cmd_triangle(args) -> int:
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     build = height_triangle_row if args.kind == "height" else narayana_row
-    rows = [build(args.k, n) for n in range(args.rows + 1)]
+    # The largest row first: a row past the work budget is refused before
+    # any other is built.
+    rows = [build(args.k, n) for n in range(args.rows, -1, -1)][::-1]
     if args.format == "json":
         import json
 

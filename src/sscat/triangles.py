@@ -3,10 +3,12 @@
 The height triangle counts balanced ballot paths by their maximum
 semisymmetric height; the Narayana triangle counts them by the number of
 semisymmetric peaks (an up-step immediately followed by a down-step).
-Each row is computed by the lattice DP over the ballot points of the box
-and checked: height rows against successive differences of bounded
-transfer-matrix counts, Narayana rows against the Catalan number.  Path
-enumeration is the test oracle for both.
+Each row is computed by the lattice DP over the ballot points of the box,
+refused past `TRIANGLE_WORK_BUDGET` before any walk, and checked against
+the Catalan number; a height row is also checked against the successive
+differences of the height-bounded lattice counts, the same DP pruned at
+each bound u.  Path enumeration and the differences of bounded
+transfer-matrix counts are the test oracles.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from typing import NamedTuple, Sequence
 from . import backend
 from .counting import (
     bounded_sequence,
-    bounded_sswcn_dp,
     catalan_number,
     max_path_height,
     min_path_height,
     sswcn_lattice,
 )
-from .errors import FormulaViolationError
+from .errors import FormulaViolationError, InvalidDimensionError, TooLargeError
+from .paths import lattice_sum
 from .weights import WeightAssignment, WeightMonomial, WeightPolynomial
 
 HEIGHT_TRIANGLE = "height"
@@ -53,50 +55,83 @@ class TriangleRow(NamedTuple):
         }
 
 
+# Budget of one row: the C(n + k, k) ballot points of the box, each with at
+# most k successors, times the tags a point carries over every walk of the
+# row: H + 1 running maxima, at most 2(H + 1) (last step up, peaks) pairs,
+# and one count in each of the H + 1 bound walks, H = max_path_height(k, n).
+# The H + 1 bound walks take most of the time, about 2 us per walk and
+# point, so k = 2 comes nearest the budget: `height_triangle_row(2, 126)`
+# estimates 8.3e6 and takes about 2 s on a 2-core VM with Python 3.11,
+# (6, 7) 2.6e6 and 0.3 s, while (6, 12), refused, estimates 4.9e7.
+TRIANGLE_WORK_BUDGET = 2**23
+
+
 @lru_cache(maxsize=None)
 def _histograms(k: int, n: int):
     """Both statistics' histograms, from the lattice DP."""
     return backend.stat_histograms(k, n)
 
 
+def _checked_row(kind: str, k: int, n: int) -> TriangleRow:
+    """The row of *kind* from `_histograms`, refused past
+    `TRIANGLE_WORK_BUDGET` before any walk, and checked to sum to the
+    Catalan number."""
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    per_point = 4 * k * (max_path_height(k, n) + 1)
+    # The first test keeps math.comb from sizes it could not finish.
+    if (
+        per_point > TRIANGLE_WORK_BUDGET
+        or per_point * math.comb(n + k, k) > TRIANGLE_WORK_BUDGET
+    ):
+        raise TooLargeError(
+            f"the {kind} row (k={k}, n={n}) passes TRIANGLE_WORK_BUDGET "
+            f"= {TRIANGLE_WORK_BUDGET} tag-steps"
+        )
+    by_height, by_peaks = _histograms(k, n)
+    entries = by_height if kind == HEIGHT_TRIANGLE else by_peaks
+    total = catalan_number(k, n)
+    if sum(entries.values()) != total:
+        raise FormulaViolationError(
+            f"{kind.capitalize()} row (k={k}, n={n}) does not sum to the Catalan number",
+            expected=total,
+            actual=sum(entries.values()),
+            witness=(k, n),
+        )
+    return TriangleRow(kind, k, n, dict(entries))
+
+
 def height_triangle_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by exact maximum
-    semisymmetric height, cross-checked against differences of bounded
-    counts."""
-    by_lattice, _ = _histograms(k, n)
-    if n == 0:
-        return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_lattice))
+    semisymmetric height, cross-checked against differences of the
+    height-bounded lattice counts."""
+    row = _checked_row(HEIGHT_TRIANGLE, k, n)
+
+    def keep(vector, kind, g, g2):
+        return vector.items()
+
     by_difference: dict[int, int] = {}
     previous = 0
-    for u in range(min_path_height(k), max_path_height(k, n) + 1):
-        current = bounded_sswcn_dp(k, u, n)
+    for u in range(max_path_height(k, n) + 1):
+        current = lattice_sum(k, n, None, keep, height_bound=u).get(None, 0)
         if current != previous:
             by_difference[u] = current - previous
         previous = current
-    if by_difference != by_lattice:
+    if by_difference != row.entries:
         raise FormulaViolationError(
-            f"height row (k={k}, n={n}): difference-of-bounded-counts disagrees "
-            "with the lattice DP",
-            expected=by_lattice,
-            actual=by_difference,
+            f"height row (k={k}, n={n}): differences of height-bounded counts "
+            "disagree with the max-height histogram",
+            expected=by_difference,
+            actual=row.entries,
             witness=(k, n),
         )
-    return TriangleRow(HEIGHT_TRIANGLE, k, n, dict(by_lattice))
+    return row
 
 
 def narayana_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by number of
     semisymmetric peaks, cross-checked against the row total."""
-    _, by_peaks = _histograms(k, n)
-    total = catalan_number(k, n)
-    if sum(by_peaks.values()) != total:
-        raise FormulaViolationError(
-            f"Narayana row (k={k}, n={n}) does not sum to the Catalan number",
-            expected=total,
-            actual=sum(by_peaks.values()),
-            witness=(k, n),
-        )
-    return TriangleRow(NARAYANA_TRIANGLE, k, n, dict(by_peaks))
+    return _checked_row(NARAYANA_TRIANGLE, k, n)
 
 
 # ---------------------------------------------------------------------------

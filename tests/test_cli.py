@@ -244,14 +244,18 @@ def test_closed_stdout_ends_quietly(argv, read):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, budget",
     [
-        ["bounded", "3", "30", "1000000"],
-        ["bounded", "3", "30", "100000000", "--mod", "1000003"],
+        pytest.param(argv, budget, id=" ".join(argv))
+        for argv, budget in (
+            (["bounded", "3", "30", "1000000"], b"BOUNDED_WORK_BUDGET"),
+            (["bounded", "3", "30", "100000000", "--mod", "1000003"], b"BOUNDED_WORK_BUDGET"),
+            (["triangle", "height", "6", "--rows", "12"], b"TRIANGLE_WORK_BUDGET"),
+            (["count", "3", "200000"], b"CATALAN_BITS_BUDGET"),
+        )
     ],
-    ids=" ".join,
 )
-def test_exact_bounded_past_its_budget_exits_2_at_once(argv):
+def test_exact_bounded_past_its_budget_exits_2_at_once(argv, budget):
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
 
@@ -268,7 +272,7 @@ def test_exact_bounded_past_its_budget_exits_2_at_once(argv):
     )
     assert time.monotonic() - start < 5
     assert done.returncode == 2 and done.stdout == b""
-    assert b"BOUNDED_WORK_BUDGET" in done.stderr
+    assert budget in done.stderr
 
 
 def test_sswcn_symbolic_and_numeric(capsys):

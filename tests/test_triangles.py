@@ -8,8 +8,10 @@ from sscat import (
     FormulaViolationError,
     TransferMatrix,
     WeightAssignment,
+    bounded_sswcn_dp,
     catalan_number,
     height_triangle_row,
+    max_path_height,
     min_path_height,
     narayana_row,
     run_verifiers,
@@ -171,21 +173,71 @@ def test_verify_narayana_one_peak():
         verify_narayana_one_peak(3, 2)
 
 
-def test_narayana_row_checks_its_total(monkeypatch):
+# The true histograms at (3, 2) are heights {2: 1, 4: 4} and peaks
+# {0: 4, 1: 1}.  A count moved to a neighbouring height keeps the total,
+# so only the bound walks can catch it; a wrong total is caught first by
+# the Catalan number.
+@pytest.mark.parametrize(
+    "build, histograms, expected, actual",
+    [
+        (narayana_row, ({}, {0: 1, 1: 3}), 5, 4),
+        (height_triangle_row, ({2: 1, 4: 3}, {}), 5, 4),
+        (height_triangle_row, ({2: 1, 3: 1, 4: 3}, {}), {2: 1, 4: 4}, {2: 1, 3: 1, 4: 3}),
+    ],
+    ids=["narayana-total", "height-total", "height-moved-count"],
+)
+def test_each_row_checks_its_histogram(monkeypatch, build, histograms, expected, actual):
     from sscat import triangles
 
-    monkeypatch.setattr(triangles, "_histograms", lambda k, n: ({}, {0: 1, 1: 3}))
+    monkeypatch.setattr(triangles, "_histograms", lambda k, n: histograms)
     with pytest.raises(FormulaViolationError) as excinfo:
-        narayana_row(3, 2)
+        build(3, 2)
     assert excinfo.value.witness == (3, 2)
-    assert excinfo.value.expected == 5 and excinfo.value.actual == 4
+    assert excinfo.value.expected == expected and excinfo.value.actual == actual
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)])
+def test_height_rows_are_differences_of_transfer_matrix_counts(k, n):
+    counts = [bounded_sswcn_dp(k, u, n) for u in range(max_path_height(k, n) + 1)]
+    differences = {
+        u: count - previous
+        for u, (previous, count) in enumerate(zip([0] + counts, counts))
+        if count != previous
+    }
+    assert height_triangle_row(k, n).entries == differences
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("triangle", "height", "4", "--rows", "5"),
+        ("oeis-check", "A001246", "rightmost:4", "--offline", "--terms", "4"),
+    ],
+    ids=" ".join,
+)
+def test_triangle_commands_build_no_transfer_matrix(monkeypatch, capsys, tmp_path, argv):
+    from sscat import counting
+
+    monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))  # only the bundled b-files
+    built = []
+    original = counting._transfer_matrix
+
+    def spy(k, u):
+        built.append((k, u))
+        return original(k, u)
+
+    monkeypatch.setattr(counting, "_transfer_matrix", spy)
+    assert main(list(argv)) == 0
+    assert built == []
 
 
 def test_height_rows_beyond_the_old_path_cap():
-    # (4, 6) has 1.3e8 paths, more than enumeration ever allowed
-    row = height_triangle_row(4, 6)
-    assert row.total() == catalan_number(4, 6)
-    assert row.entries[24] == catalan_number(2, 6) ** 2
+    # (4, 6) has 1.3e8 paths and (6, 7) 1.1e13, more than enumeration ever
+    # allowed; both stay within the triangle work budget
+    for k, n in ((4, 6), (6, 7)):
+        row = height_triangle_row(k, n)
+        assert row.total() == catalan_number(k, n)
+        assert row.entries[max_path_height(k, n)] == catalan_number(k // 2, n) ** 2
 
 
 def test_verifier_failure_raises():
