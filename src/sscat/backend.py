@@ -18,7 +18,7 @@ def height_histogram(k: int, n: int) -> dict[int, int]:
     def step(vector, kind, g, g2):
         return ((gmax if gmax > g2 else g2, c) for gmax, c in vector.items())
 
-    return lattice_sum(k, n, 0, step)
+    return lattice_sum(k, n, {0: 1}, step)
 
 
 def peak_histogram(k: int, n: int) -> dict[int, int]:
@@ -33,7 +33,7 @@ def peak_histogram(k: int, n: int) -> dict[int, int]:
         )
 
     histogram: dict[int, int] = {}
-    for (_, peaks), c in lattice_sum(k, n, (False, 0), step).items():
+    for (_, peaks), c in lattice_sum(k, n, {(False, 0): 1}, step).items():
         histogram[peaks] = histogram.get(peaks, 0) + c
     return histogram
 

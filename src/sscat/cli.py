@@ -182,14 +182,11 @@ def _cmd_sswcn(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    from .triangles import height_triangle_row, narayana_row
+    from .triangles import triangle_rows
 
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
-    build = height_triangle_row if args.kind == "height" else narayana_row
-    # The largest row first: a row past the work budget is refused before
-    # any other is built.
-    rows = [build(args.k, n) for n in range(args.rows, -1, -1)][::-1]
+    rows = triangle_rows(args.kind, args.k, range(args.rows + 1))
     if args.format == "json":
         import json
 

@@ -177,20 +177,21 @@ def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     where the sum has a single term."""
     if u is None:
         _check_cap(k, n)
-    return tag_polynomial(lattice_sum(k, n, MONOMIAL_ONE, weight_step, height_bound=u))
+    return tag_polynomial(lattice_sum(k, n, {MONOMIAL_ONE: 1}, weight_step, height_bound=u))
 
 
 def sswcn_lattice_value(
     k: int, n: int, w: WeightAssignment = ALL_ONES, modulus: Optional[int] = None
 ) -> int:
     """`sswcn_lattice` evaluated at the weights *w*, reduced mod *modulus*
-    after every step when given."""
+    after every step when given, refused past `LATTICE_WORK_BUDGET`."""
+    _check_lattice_work(k, n, w, modulus)
 
     def step(vector, kind, g, g2):
         value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
         return ((None, value if modulus is None else value % modulus),)
 
-    value = lattice_sum(k, n, None, step)[None]
+    value = lattice_sum(k, n, {None: 1}, step)[None]
     return value if modulus is None else value % modulus
 
 
@@ -210,7 +211,7 @@ def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
     layered DP: {normalized endpoint: {`weight_step` tag: coefficient}}.
     Distinct endpoints of k steps from *a* never normalize alike."""
     # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    walk = lattice_walk(k, a, tuple(c + k for c in a), k, MONOMIAL_ONE, weight_step, u)
+    walk = lattice_walk(k, a, tuple(c + k for c in a), k, {MONOMIAL_ONE: 1}, weight_step, u)
     return {_normalize(y): vector for y, vector in walk.items()}
 
 
@@ -348,6 +349,43 @@ BOUNDED_WORK_BUDGET = 2**37
 # the exact `bounded 3 30 16000` took 124-188 ps per estimated term-bit.
 # The budget admits `bounded 3 30 n --mod 1000003` up to n of about 5.8e6.
 PRODUCT_BITS = 2**9
+
+
+# Budget of `sswcn_lattice_value`: the C(n + k, k) ballot points of the
+# box, k successors each, times what a step costs in big-integer bits: its
+# product of a value by a weight, the value's bits times the weight's
+# 30-bit digits, plus LATTICE_STEP_BITS for its dict and generator work.
+# On a 2-core VM with Python 3.11 a step at all-ones weights takes 1-2.4
+# us, and the largest admitted runs, such as `sswcn 3 123` (1.7e10), take
+# up to about 2 s; `sswcn 3 3000` estimates 5.9e14.
+LATTICE_STEP_BITS = 2**14
+LATTICE_WORK_BUDGET = 2**34
+
+
+def _check_lattice_work(k: int, n: int, w: WeightAssignment, modulus: Optional[int]) -> None:
+    """Raise `TooLargeError` when the numeric lattice DP at (k, n) passes
+    `LATTICE_WORK_BUDGET`, estimated before any walk.  A value sums at most
+    k^(kn) walks, each a product of kn weights; a modulus reduces every
+    product of a weight and a residue."""
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    weight_bits = max(map(abs, (*w.b_prefix, w.b_fill, *w.c_prefix, w.c_fill))).bit_length()
+    bits = k * n * (weight_bits + k.bit_length())
+    if modulus is not None:
+        bits = min(bits, modulus.bit_length() + weight_bits)
+    per_point = k * (bits * (max(weight_bits, 30) // 30) + LATTICE_STEP_BITS)
+    # The box has at least n + 1 points; the first test keeps math.comb
+    # from sizes it could not finish.
+    if (
+        per_point * (n + 1) > LATTICE_WORK_BUDGET
+        or per_point * math.comb(n + k, k) > LATTICE_WORK_BUDGET
+    ):
+        raise TooLargeError(
+            f"the numeric lattice DP (k={k}, n={n}) passes LATTICE_WORK_BUDGET "
+            f"= {LATTICE_WORK_BUDGET} step-bits"
+        )
 
 
 def _berlekamp_massey(terms: list[int], p: int) -> list[int]:

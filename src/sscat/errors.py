@@ -32,9 +32,10 @@ class InvalidStateError(SscatError):
 class TooLargeError(SscatError):
     """A computation would pass a fixed budget: the path cap of the brute-force
     oracles and `sswcn_lattice`, the period search's work and table limits,
-    the estimated work of a bounded count (`BOUNDED_WORK_BUDGET`) or of a
-    triangle row (`TRIANGLE_WORK_BUDGET`), or the bits of (kn)! in a
-    Catalan number (`CATALAN_BITS_BUDGET`)."""
+    the estimated work of a bounded count (`BOUNDED_WORK_BUDGET`), of a
+    triangle's rows (`TRIANGLE_WORK_BUDGET`) or of a numeric lattice count
+    (`LATTICE_WORK_BUDGET`), or the bits of (kn)! in a Catalan number
+    (`CATALAN_BITS_BUDGET`)."""
 
 
 class InvalidTableauError(SscatError):

@@ -220,15 +220,15 @@ def lattice_walk(
     start: Point,
     top: Point,
     length: int,
-    seed: Hashable,
+    seed: dict,
     step: Step,
     height_bound: Optional[int] = None,
 ) -> dict[Point, dict]:
     """Layered DP over the ballot points of the box from *start* to *top*,
     *length* steps deep; returns {endpoint: vector}.
 
-    Every point carries a sparse vector {tag: coefficient}, starting from
-    {seed: 1} at *start*.  Moving a vector along a step of kind
+    Every point carries a sparse vector {tag: coefficient}; the one at
+    *start* is *seed*.  Moving a vector along a step of kind
     ``step_class(k, d)`` from a point of height g to one of height g2 is
     ``step(vector, kind, g, g2)``, which yields (tag, coefficient) pairs;
     pairs reaching the same point are summed.  Steps (and a start) above
@@ -240,7 +240,7 @@ def lattice_walk(
     g0 = ss_height_point(start)
     if height_bound is not None and g0 > height_bound:
         return {}
-    layer: dict[Point, tuple[int, dict]] = {start: (g0, {seed: 1})}
+    layer: dict[Point, tuple[int, dict]] = {start: (g0, seed)}
     for _ in range(length):
         following: dict[Point, tuple[int, dict]] = {}
         for x, (g, vector) in layer.items():
@@ -257,7 +257,7 @@ def lattice_walk(
 
 
 def lattice_sum(
-    k: int, n: int, seed: Hashable, step: Step, height_bound: Optional[int] = None
+    k: int, n: int, seed: dict, step: Step, height_bound: Optional[int] = None
 ) -> dict:
     """`lattice_walk` through the box [0, n]^k from the origin to its top
     corner (n, ..., n): the vector summing every balanced walk of length

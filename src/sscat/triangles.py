@@ -3,12 +3,12 @@
 The height triangle counts balanced ballot paths by their maximum
 semisymmetric height; the Narayana triangle counts them by the number of
 semisymmetric peaks (an up-step immediately followed by a down-step).
-Each row is computed by the lattice DP over the ballot points of the box,
-refused past `TRIANGLE_WORK_BUDGET` before any walk, and checked against
-the Catalan number; a height row is also checked against the successive
-differences of the height-bounded lattice counts, the same DP pruned at
-each bound u.  Path enumeration and the differences of bounded
-transfer-matrix counts are the test oracles.
+Each row is one lattice walk over the ballot points of the box, for the
+statistic it prints, refused past `TRIANGLE_WORK_BUDGET` before any walk,
+and checked against the Catalan number; a height row is also checked
+against the successive differences of the height-bounded counts, which a
+second walk carries for every bound u at once.  Path enumeration and the
+differences of bounded transfer-matrix counts are the test oracles.
 """
 
 from __future__ import annotations
@@ -55,41 +55,57 @@ class TriangleRow(NamedTuple):
         }
 
 
-# Budget of one row: the C(n + k, k) ballot points of the box, each with at
-# most k successors, times the tags a point carries over every walk of the
-# row: H + 1 running maxima, at most 2(H + 1) (last step up, peaks) pairs,
-# and one count in each of the H + 1 bound walks, H = max_path_height(k, n).
-# The H + 1 bound walks take most of the time, about 2 us per walk and
-# point, so k = 2 comes nearest the budget: `height_triangle_row(2, 126)`
-# estimates 8.3e6 and takes about 2 s on a 2-core VM with Python 3.11,
-# (6, 7) 2.6e6 and 0.3 s, while (6, 12), refused, estimates 4.9e7.
+# Budget of a triangle, summed over its rows before any walk.  Row n
+# estimates the C(n + k, k) ballot points of the box, each with at most k
+# successors, times the 2(H + 1) tags a point carries over the row's walks,
+# H = max_path_height(k, n): H + 1 running maxima and H + 1 survival
+# counts, or at most 2(H + 1) (last step up, peaks) pairs.  k = 2 comes
+# nearest the budget: `triangle height 2 --rows 62`, the slowest admitted
+# command, estimates 8.3e6 and takes about 1.4 s on a 2-core VM with Python
+# 3.11, while `--rows 126`, refused, estimates 1.3e8 ((6, 12): 5.8e7).
 TRIANGLE_WORK_BUDGET = 2**23
 
 
+def _row_work(k: int, n: int) -> int:
+    """The estimated tag-steps of row n; once the tags of one point pass
+    the budget, only those, which keeps math.comb from sizes it could not
+    finish."""
+    per_point = 2 * k * (max_path_height(k, n) + 1)
+    if per_point > TRIANGLE_WORK_BUDGET:
+        return per_point
+    return per_point * math.comb(n + k, k)
+
+
+def _check_work(kind: str, k: int, ns: range) -> None:
+    """Raise `TooLargeError` when the *kind* rows n in *ns* together pass
+    `TRIANGLE_WORK_BUDGET`, summing their estimates in order and stopping
+    as soon as the sum passes it."""
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    work = 0
+    for n in ns:
+        work += _row_work(k, n)
+        if work > TRIANGLE_WORK_BUDGET:
+            rows = f"n={ns.start}" if len(ns) == 1 else f"n={ns.start}..{ns.stop - 1}"
+            raise TooLargeError(
+                f"the {kind} triangle (k={k}, {rows}) passes TRIANGLE_WORK_BUDGET "
+                f"= {TRIANGLE_WORK_BUDGET} tag-steps"
+            )
+
+
 @lru_cache(maxsize=None)
-def _histograms(k: int, n: int):
-    """Both statistics' histograms, from the lattice DP."""
-    return backend.stat_histograms(k, n)
+def _histograms(kind: str, k: int, n: int) -> dict[int, int]:
+    """The histogram that the *kind* row prints, from one lattice walk."""
+    walk = backend.height_histogram if kind == HEIGHT_TRIANGLE else backend.peak_histogram
+    return walk(k, n)
 
 
 def _checked_row(kind: str, k: int, n: int) -> TriangleRow:
     """The row of *kind* from `_histograms`, refused past
     `TRIANGLE_WORK_BUDGET` before any walk, and checked to sum to the
     Catalan number."""
-    if k < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
-    per_point = 4 * k * (max_path_height(k, n) + 1)
-    # The first test keeps math.comb from sizes it could not finish.
-    if (
-        per_point > TRIANGLE_WORK_BUDGET
-        or per_point * math.comb(n + k, k) > TRIANGLE_WORK_BUDGET
-    ):
-        raise TooLargeError(
-            f"the {kind} row (k={k}, n={n}) passes TRIANGLE_WORK_BUDGET "
-            f"= {TRIANGLE_WORK_BUDGET} tag-steps"
-        )
-    by_height, by_peaks = _histograms(k, n)
-    entries = by_height if kind == HEIGHT_TRIANGLE else by_peaks
+    _check_work(kind, k, range(n, n + 1))
+    entries = _histograms(kind, k, n)
     total = catalan_number(k, n)
     if sum(entries.values()) != total:
         raise FormulaViolationError(
@@ -107,16 +123,14 @@ def height_triangle_row(k: int, n: int) -> TriangleRow:
     height-bounded lattice counts."""
     row = _checked_row(HEIGHT_TRIANGLE, k, n)
 
-    def keep(vector, kind, g, g2):
-        return vector.items()
+    # Each bound u starts with a count of 1, dropped once a step ends above u.
+    def survive(vector, kind, g, g2):
+        return ((u, c) for u, c in vector.items() if u >= g2)
 
-    by_difference: dict[int, int] = {}
-    previous = 0
-    for u in range(max_path_height(k, n) + 1):
-        current = lattice_sum(k, n, None, keep, height_bound=u).get(None, 0)
-        if current != previous:
-            by_difference[u] = current - previous
-        previous = current
+    top = max_path_height(k, n)
+    bounded = lattice_sum(k, n, dict.fromkeys(range(top + 1), 1), survive)
+    counts = [bounded.get(u, 0) for u in range(top + 1)]
+    by_difference = {u: c - p for u, (p, c) in enumerate(zip([0] + counts, counts)) if c != p}
     if by_difference != row.entries:
         raise FormulaViolationError(
             f"height row (k={k}, n={n}): differences of height-bounded counts "
@@ -132,6 +146,14 @@ def narayana_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by number of
     semisymmetric peaks, cross-checked against the row total."""
     return _checked_row(NARAYANA_TRIANGLE, k, n)
+
+
+def triangle_rows(kind: str, k: int, ns: range) -> list[TriangleRow]:
+    """The rows n in *ns* of the *kind* triangle, in order, refused as a
+    whole past `TRIANGLE_WORK_BUDGET` before any walk."""
+    _check_work(kind, k, ns)
+    build = height_triangle_row if kind == HEIGHT_TRIANGLE else narayana_row
+    return [build(k, n) for n in ns]
 
 
 # ---------------------------------------------------------------------------

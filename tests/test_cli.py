@@ -251,6 +251,8 @@ def test_closed_stdout_ends_quietly(argv, read):
             (["bounded", "3", "30", "1000000"], b"BOUNDED_WORK_BUDGET"),
             (["bounded", "3", "30", "100000000", "--mod", "1000003"], b"BOUNDED_WORK_BUDGET"),
             (["triangle", "height", "6", "--rows", "12"], b"TRIANGLE_WORK_BUDGET"),
+            (["triangle", "height", "2", "--rows", "126"], b"TRIANGLE_WORK_BUDGET"),
+            (["sswcn", "3", "3000"], b"LATTICE_WORK_BUDGET"),
             (["count", "3", "200000"], b"CATALAN_BITS_BUDGET"),
         )
     ],

@@ -333,7 +333,7 @@ def bounded_lattice_mod(k, u, n, w, p):
         value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
         return ((None, value % p),)
 
-    return lattice_sum(k, n, None, step, height_bound=u).get(None, 0) % p
+    return lattice_sum(k, n, {None: 1}, step, height_bound=u).get(None, 0) % p
 
 
 @pytest.mark.parametrize("k,u,n", [(3, 30, 300), (3, 20, 400), (4, 24, 150)])

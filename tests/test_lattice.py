@@ -188,7 +188,7 @@ def test_lattice_walk_hands_each_step_its_kind(k):
         seen.append((g2 - g, kind))
         return vector.items()
 
-    walked = lattice_walk(k, (0,) * k, (1,) * k, k, None, step)
+    walked = lattice_walk(k, (0,) * k, (1,) * k, k, {None: 1}, step)
     assert walked == {(1,) * k: {None: 1}}
     rise = height_coefficients(k)
     assert seen == [(rise[d - 1], step_class(k, d)) for d in range(1, k + 1)]

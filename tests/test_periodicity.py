@@ -7,6 +7,7 @@ import pytest
 from sscat import (
     ALL_ONES,
     PeriodReport,
+    TooLargeError,
     WeightAssignment,
     bounded_sequence,
     bounded_sswcn_dp,
@@ -352,3 +353,6 @@ def test_unbounded_mod_lattice_fallback():
     value, cert = unbounded_sswcn_mod(3, 30, ALL_ONES, 5)
     assert cert.kind == "lattice"
     assert value == catalan_number(3, 30) % 5
+    # ... within the numeric lattice budget, checked before any walk
+    with pytest.raises(TooLargeError, match="LATTICE_WORK_BUDGET"):
+        unbounded_sswcn_mod(3, 3000, ALL_ONES, 5)

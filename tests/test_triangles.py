@@ -6,6 +6,7 @@ import pytest
 
 from sscat import (
     FormulaViolationError,
+    TooLargeError,
     TransferMatrix,
     WeightAssignment,
     bounded_sswcn_dp,
@@ -175,25 +176,52 @@ def test_verify_narayana_one_peak():
 
 # The true histograms at (3, 2) are heights {2: 1, 4: 4} and peaks
 # {0: 4, 1: 1}.  A count moved to a neighbouring height keeps the total,
-# so only the bound walks can catch it; a wrong total is caught first by
-# the Catalan number.
+# so only the survival walk can catch it; a wrong total is caught first by
+# the Catalan number.  Each row asks `_histograms` for its own statistic
+# only: any other kind raises KeyError here.
 @pytest.mark.parametrize(
     "build, histograms, expected, actual",
     [
-        (narayana_row, ({}, {0: 1, 1: 3}), 5, 4),
-        (height_triangle_row, ({2: 1, 4: 3}, {}), 5, 4),
-        (height_triangle_row, ({2: 1, 3: 1, 4: 3}, {}), {2: 1, 4: 4}, {2: 1, 3: 1, 4: 3}),
+        (narayana_row, {"narayana": {0: 1, 1: 3}}, 5, 4),
+        (height_triangle_row, {"height": {2: 1, 4: 3}}, 5, 4),
+        (
+            height_triangle_row,
+            {"height": {2: 1, 3: 1, 4: 3}},
+            {2: 1, 4: 4},
+            {2: 1, 3: 1, 4: 3},
+        ),
     ],
     ids=["narayana-total", "height-total", "height-moved-count"],
 )
 def test_each_row_checks_its_histogram(monkeypatch, build, histograms, expected, actual):
     from sscat import triangles
 
-    monkeypatch.setattr(triangles, "_histograms", lambda k, n: histograms)
+    monkeypatch.setattr(triangles, "_histograms", lambda kind, k, n: histograms[kind])
     with pytest.raises(FormulaViolationError) as excinfo:
         build(3, 2)
     assert excinfo.value.witness == (3, 2)
     assert excinfo.value.expected == expected and excinfo.value.actual == actual
+
+
+@pytest.mark.parametrize(
+    "build, walks", [(height_triangle_row, 2), (narayana_row, 1)], ids=["height", "narayana"]
+)
+def test_a_row_walks_the_lattice_once_per_statistic(monkeypatch, build, walks):
+    # A height row walks once for its histogram and once, carrying every
+    # height bound at once, for its check; a Narayana row walks once.
+    from sscat import paths, triangles
+
+    walked = []
+    original = paths.lattice_walk
+
+    def spy(k, start, top, length, seed, step, height_bound=None):
+        walked.append(seed)
+        return original(k, start, top, length, seed, step, height_bound)
+
+    monkeypatch.setattr(paths, "lattice_walk", spy)
+    triangles._histograms.cache_clear()
+    build(3, 4)
+    assert len(walked) == walks
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)])
@@ -229,6 +257,20 @@ def test_triangle_commands_build_no_transfer_matrix(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(counting, "_transfer_matrix", spy)
     assert main(list(argv)) == 0
     assert built == []
+
+
+def test_triangle_budget_counts_a_command_as_a_whole():
+    # Estimates only: no row is walked here.
+    from sscat.triangles import _check_work
+
+    for k, rows in ((2, 62), (4, 8), (6, 7), (6, 8)):
+        _check_work("height", k, range(rows + 1))
+    for k, n in ((4, 6), (6, 7), (2, 126)):
+        _check_work("height", k, range(n, n + 1))
+    # every row of (2, 0..126) fits alone, but not the rows together
+    for argv in ((2, range(127)), (6, range(13)), (2, range(64))):
+        with pytest.raises(TooLargeError, match="TRIANGLE_WORK_BUDGET"):
+            _check_work("height", *argv)
 
 
 def test_height_rows_beyond_the_old_path_cap():
