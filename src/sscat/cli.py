@@ -103,25 +103,31 @@ def _emit(args, plain: str, payload) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    """Print each path's steps as the DFS yields them; the JSON form is
-    written in pieces whose bytes match `json.dumps` of the whole list."""
+    """Print each path's steps as the DFS yields them, one write per path
+    from a template with one %d per step, after counting the paths against
+    `ENUMERATE_PATH_BUDGET`; the JSON form is written in pieces whose bytes
+    match `json.dumps` of the whole list."""
+    from .counting import _check_enumeration
     from .paths import enumerate_paths
 
     paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
+    _check_enumeration(args.k, args.n, args.bound)
+    write = sys.stdout.write
+    steps = args.k * args.n
     if args.format == "json":
-        import json
-
+        template = "[" + ", ".join(["%d"] * steps) + "]"
+        write("[")
         sep = ""
-        print("[", end="")
-        for steps in paths:
-            print(sep + json.dumps(steps), end="")
+        for path in paths:
+            write(sep + template % path)
             sep = ", "
-        print("]")
+        write("]\n")
         return 0
     if args.format == "csv":
-        print("steps")
-    for steps in paths:
-        print(" ".join(map(str, steps)))
+        write("steps\n")
+    template = " ".join(["%d"] * steps) + "\n"
+    for path in paths:
+        write(template % path)
     return 0
 
 
@@ -164,7 +170,8 @@ def _cmd_sswcn(args) -> int:
     # one that is printed.
     poly = sswcn_lattice(args.k, args.n)
     if args.format != "json":
-        print(poly.text())
+        sys.stdout.writelines(poly.text_pieces())
+        print()
         return 0
     # The bytes of json.dumps(..., indent=2) of the whole document, written
     # one term at a time so that the term list is never held.  A balanced
@@ -238,13 +245,12 @@ def _bounded_terms(start: int, stop: int, k: int, u: int) -> list[int]:
 
 
 def _rightmost_terms(start: int, stop: int, k: int) -> list[int]:
+    # The rows are budgeted as one triangle, as `sscat triangle` does.
     from .counting import max_path_height
-    from .triangles import height_triangle_row
+    from .triangles import HEIGHT_TRIANGLE, triangle_rows
 
-    return [
-        height_triangle_row(k, n).entries[max_path_height(k, n)]
-        for n in range(start, stop)
-    ]
+    rows = triangle_rows(HEIGHT_TRIANGLE, k, range(start, stop))
+    return [row.entries[max_path_height(k, row.n)] for row in rows]
 
 
 # The generators of `oeis-check`, by name: (number of parameters, first

@@ -51,8 +51,9 @@ from .paths import (
 )
 from .weights import (
     ALL_ONES,
-    MONOMIAL_ONE,
+    TagFormat,
     WeightAssignment,
+    WeightMonomial,
     WeightPolynomial,
     legacy_wt,
     sswt,
@@ -117,6 +118,30 @@ def _check_cap(k: int, n: int) -> None:
             )
 
 
+# Budget of `sscat enumerate`: the paths it prints, counted before the
+# first write.  On a 2-core VM with Python 3.11 a path takes about 2 us to
+# find and print, so the largest admitted commands, `enumerate 4 5` and
+# `enumerate 5 4` (1.66e6 paths each), take 3.2-3.7 s; `enumerate 2 14`
+# (2.7e6) is refused, and `enumerate 6 6` would print 1.67e15.
+ENUMERATE_PATH_BUDGET = 2**21
+
+
+def _check_enumeration(k: int, n: int, u: Optional[int] = None) -> None:
+    """Raise `TooLargeError` when `enumerate_paths(k, n, u)` yields more than
+    `ENUMERATE_PATH_BUDGET` paths: the Catalan number decides as in
+    `_check_cap`, and under a bound below the largest height, the count of
+    the paths of height <= u."""
+    over = any(catalan_number(k, m) > ENUMERATE_PATH_BUDGET for m in range(n + 1))
+    if over and u is not None and u < max_path_height(k, n):
+        over = bounded_sswcn_dp(k, u, n) > ENUMERATE_PATH_BUDGET
+    if over:
+        bound = "" if u is None else f" of height <= {u}"
+        raise TooLargeError(
+            f"(k={k}, n={n}) has more paths{bound} than ENUMERATE_PATH_BUDGET "
+            f"= {ENUMERATE_PATH_BUDGET}"
+        )
+
+
 def _brute_sum(
     k: int, walks: Iterable[tuple[int, ...]], origin: Point, weight
 ) -> WeightPolynomial:
@@ -165,19 +190,22 @@ def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
 def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of length
     k*n, restricted to height <= u when *u* is given, as a symbolic
-    polynomial, by the layered DP with `weight_step`.
+    polynomial, by the layered DP with `weight_step` on packed tags, which
+    the polynomial keeps.
 
     Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`.
     Each path gives one monomial, so the path count bounds the terms; the
     measured ratio is 0.2-0.7 for k >= 4 ((4, 5): 333,851 terms from
-    1,662,804 paths, 12 s and 272 MB) and far lower for k = 2 ((2, 20):
-    524,288 terms from 6.6e9 paths, but 112 s and 1.1 GB).  The largest
-    sizes under the cap finish within about 12 s.  Bounded calls are not
-    refused: `verify_min_u_formulas` asks for the two smallest bounds,
-    where the sum has a single term."""
+    1,662,804 paths) and far lower for k = 2 ((2, 20): 524,288 terms from
+    6.6e9 paths).  On a 2-core VM with Python 3.11, `sswcn 4 5 --symbolic`
+    takes about 5 s and 140 MB.  Bounded calls are not refused:
+    `verify_min_u_formulas` asks for the two smallest bounds, where the sum
+    has a single term."""
     if u is None:
         _check_cap(k, n)
-    return tag_polynomial(lattice_sum(k, n, {MONOMIAL_ONE: 1}, weight_step, height_bound=u))
+    top = max_path_height(k, n) if u is None else min(u, max_path_height(k, n))
+    fmt = TagFormat.for_walk(max(top, -1) + 1, k * n)
+    return tag_polynomial(lattice_sum(k, n, {0: 1}, weight_step(fmt), height_bound=u), fmt)
 
 
 def sswcn_lattice_value(
@@ -206,12 +234,18 @@ def _normalize(p: Point) -> Point:
     return tuple(c - shift for c in p)
 
 
+def _block_format(k: int, u: int) -> TagFormat:
+    """The tags of the k-step blocks at the bound u."""
+    return TagFormat.for_walk(u + 1, k)
+
+
 def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
     """The k-step sub-ballot blocks from *a* with height <= u, summed by the
-    layered DP: {normalized endpoint: {`weight_step` tag: coefficient}}.
+    layered DP: {normalized endpoint: {`_block_format` tag: coefficient}}.
     Distinct endpoints of k steps from *a* never normalize alike."""
     # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    walk = lattice_walk(k, a, tuple(c + k for c in a), k, {MONOMIAL_ONE: 1}, weight_step, u)
+    step = weight_step(_block_format(k, u))
+    walk = lattice_walk(k, a, tuple(c + k for c in a), k, {0: 1}, step, u)
     return {_normalize(y): vector for y, vector in walk.items()}
 
 
@@ -275,13 +309,22 @@ def _transfer_matrix(k: int, u: int) -> TransferMatrix:
     sorted order."""
     if u < 0:
         raise ValueError(f"height bound must be >= 0, got {u}")
+    fmt = _block_format(k, u)
+    # One monomial per distinct tag, shared by every entry that has it.
+    monomials: dict[int, WeightMonomial] = {}
+
+    def entry(sums: dict) -> WeightPolynomial:
+        return WeightPolynomial(
+            {monomials.get(t) or monomials.setdefault(t, fmt.monomial(t)): v
+             for t, v in sums.items()}
+        )
+
     states = [(0,) * k]
     rows: list[dict[Point, WeightPolynomial]] = []
     while len(rows) < len(states):
         level = states[len(rows) :]
         for state in level:
-            blocks = _blocks(k, u, state)
-            rows.append({w: tag_polynomial(sums) for w, sums in blocks.items()})
+            rows.append({w: entry(sums) for w, sums in _blocks(k, u, state).items()})
         found = {w for row in rows[-len(level) :] for w in row}
         new = sorted(found.difference(states))
         for s in new:

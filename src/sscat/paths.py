@@ -178,6 +178,12 @@ def ballot_successors(x: Sequence[int], top: Point) -> list[int]:
     return found
 
 
+# A point lists its walks to the top, its suffixes, when they hold at most
+# SUFFIX_STEPS steps in all.  The bound on steps, not walks, keeps a long
+# walk with few branches from storing a suffix at every point of it.
+SUFFIX_STEPS = 2**10
+
+
 def ballot_walks(
     k: int, start: Point, top: Point, height_bound: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
@@ -185,34 +191,53 @@ def ballot_walks(
     directions 1..k at each step; yields each walk's steps.
 
     Prunes any branch whose semisymmetric height exceeds *height_bound*.
-    """
+    Every reachable point is visited once first, leaves before the points
+    that step to them, for its successors and, within SUFFIX_STEPS, the
+    list of its suffixes in depth-first order.  The DFS then stops at the
+    first point of a walk that has the list, and yields each walk as its
+    prefix joined to one suffix."""
     coeffs = height_coefficients(k)
     g0 = ss_height_point(start)
     if height_bound is not None and g0 > height_bound:
         return
-    length = sum(top) - sum(start)
-    x = list(start)
-    steps: list[int] = []
-    # Moves still to try, the next one last, as (direction, height after
-    # it); a negative direction takes that step back.
-    todo = [(0, g0)]
+    start, top = tuple(start), tuple(top)
+    total = sum(top)
+    successors: dict[Point, list[tuple[int, Point]]] = {}
+    suffixes: dict[Point, Optional[list[tuple[int, ...]]]] = {}
+    todo = [(start, g0)]
     while todo:
-        d, g = todo.pop()
-        if d < 0:
-            x[-d - 1] -= 1
-            steps.pop()
+        x, g = todo[-1]
+        if x not in successors:
+            successors[x] = moves = []
+            for d in ballot_successors(x, top):
+                g2 = g + coeffs[d - 1]
+                if height_bound is None or g2 <= height_bound:
+                    y = x[: d - 1] + (x[d - 1] + 1,) + x[d:]
+                    moves.append((d, y))
+                    if y not in successors:
+                        todo.append((y, g2))
             continue
-        if d:
-            x[d - 1] += 1
-            steps.append(d)
-            todo.append((-d, g))
-        if len(steps) == length:
-            yield tuple(steps)
+        todo.pop()
+        if x in suffixes:
             continue
-        for e in reversed(ballot_successors(x, top)):
-            g2 = g + coeffs[e - 1]
-            if height_bound is None or g2 <= height_bound:
-                todo.append((e, g2))
+        # Every successor was finished above x: the steps only go up.
+        remaining = total - sum(x)
+        found: Optional[list[tuple[int, ...]]] = [()] if x == top else []
+        for d, y in successors[x]:
+            tails = suffixes[y]
+            if tails is None or (len(found) + len(tails)) * remaining > SUFFIX_STEPS:
+                found = None
+                break
+            found += [(d,) + tail for tail in tails]
+        suffixes[x] = found
+    walks = [(start, ())]
+    while walks:
+        x, prefix = walks.pop()
+        tails = suffixes[x]
+        if tails is None:
+            walks.extend((y, prefix + (d,)) for d, y in reversed(successors[x]))
+        else:
+            yield from map(prefix.__add__, tails)
 
 
 def lattice_walk(

@@ -6,19 +6,29 @@ generalization, is here.
 
 Weights are monomials in variables B(i) and C(j): an up-step contributes
 B(height of its starting point), every other step contributes C(height of
-its resulting point).  This module owns the monomial format and the DP
+its resulting point).  This module owns the monomial formats and the DP
 step that multiplies by a step's weight, `weight_step`; the per-path
 statistics keep their own arithmetic as the DP's oracles.  Sums of
 weights are sparse polynomials with exact integer coefficients, which the
 package only adds, compares, evaluates and prints.
+
+A monomial is a `WeightMonomial`, two sorted (index, exponent) tuples, or
+inside the lattice DP a packed *tag*: one int that is the monomial at
+B(g) = 256^(w*g) and C(g) = 256^(w*(H + g)) for the heights g < H
+(Kronecker substitution).  So the exponent of B(g) fills byte slot g and
+that of C(g) slot H + g, each slot w bytes, little-endian; the `TagFormat`
+(H, w) of a walk of s steps takes the fewest w with 256^w - 1 > s, so no
+exponent carries into the next slot, and a step adds one power of 256.
+`WeightPolynomial` keeps the tags of a walk and prints from them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidDimensionError
-from .paths import BallotPath, Point, StepKind, ss_height_point
+from .paths import BallotPath, Point, Step, StepKind, ss_height_point
 
 
 def legacy_height_point(p: Point) -> int:
@@ -89,44 +99,89 @@ class WeightMonomial(NamedTuple):
     def text(self) -> str:
         """Canonical print form: B block by ascending index, then C block by
         descending index (the order weights are usually written in)."""
-        parts = []
-        for i, e in self.b:
-            parts.append(f"B{i}" if e == 1 else f"B{i}^{e}")
-        for j, e in reversed(self.c):
-            parts.append(f"C{j}" if e == 1 else f"C{j}^{e}")
-        return "*".join(parts) if parts else "1"
+        blocks = (_factors("B", self.b), _factors("C", self.c[::-1]))
+        return "*".join(filter(None, blocks)) or "1"
 
     def __str__(self) -> str:
         return self.text()
 
 
-MONOMIAL_ONE = WeightMonomial()
+def _factors(letter: str, pairs) -> str:
+    """The factors of one block in the order of *pairs*, joined by '*'."""
+    return "*".join(f"{letter}{i}" if e == 1 else f"{letter}{i}^{e}" for i, e in pairs)
 
 
-def _bump(pairs: tuple[tuple[int, int], ...], index: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (index, exponent) tuple *pairs* with the exponent of
-    *index* raised by one."""
-    for pos, (i, e) in enumerate(pairs):
-        if i == index:
-            return pairs[:pos] + ((i, e + 1),) + pairs[pos + 1 :]
-        if i > index:
-            return pairs[:pos] + ((index, 1),) + pairs[pos:]
-    return pairs + ((index, 1),)
+class TagFormat(NamedTuple):
+    """The slots of packed tags: `heights` H and the bytes per slot
+    `width` w (see the module docstring)."""
+
+    heights: int
+    width: int
+
+    @classmethod
+    def for_walk(cls, heights: int, steps: int) -> "TagFormat":
+        """The format of tags over heights below *heights* built by at most
+        *steps* steps: the fewest bytes whose all-ones value exceeds every
+        exponent."""
+        return cls(heights, ((steps + 1).bit_length() + 7) // 8)
+
+    @classmethod
+    def packing(cls, terms: Mapping[WeightMonomial, int]) -> tuple["TagFormat", dict]:
+        """A format that holds every monomial of *terms*, and *terms* as
+        {tag: coefficient} in it."""
+        pairs = [pair for mono in terms for pair in mono.b + mono.c]
+        heights = 1 + max((i for i, _ in pairs), default=0)
+        fmt = cls.for_walk(heights, max((e for _, e in pairs), default=0))
+        bits = 8 * fmt.width
+        return fmt, {
+            sum(e << bits * i for i, e in mono.b)
+            + sum(e << bits * (fmt.heights + j) for j, e in mono.c): coeff
+            for mono, coeff in terms.items()
+        }
+
+    @property
+    def shift(self) -> int:
+        """The bit offset of the C block."""
+        return 8 * self.width * self.heights
+
+    def pairs(self, block: int) -> tuple[tuple[int, int], ...]:
+        """The (index, exponent) pairs of the nonzero slots of one block,
+        by ascending index."""
+        bits = 8 * self.width
+        mask = (1 << bits) - 1
+        found = []
+        for i in range((block.bit_length() + bits - 1) // bits):
+            if e := block >> bits * i & mask:
+                found.append((i, e))
+        return tuple(found)
+
+    def monomial(self, tag: int) -> WeightMonomial:
+        shift = self.shift
+        return WeightMonomial(self.pairs(tag & ((1 << shift) - 1)), self.pairs(tag >> shift))
 
 
-def weight_step(vector: dict, kind: StepKind, g: int, g2: int):
-    """The lattice-DP step of the symbolic weight: an up-step multiplies each
-    monomial at its start by B(g), the height of the start, any other step
-    by C(g2), the height of the end.  Tags are monomials as (b, c) pairs of
-    exponent tuples; seed the walk with `MONOMIAL_ONE`."""
-    if kind is StepKind.UP:
-        return (((_bump(b, g), c), coeff) for (b, c), coeff in vector.items())
-    return (((b, _bump(c, g2)), coeff) for (b, c), coeff in vector.items())
+def weight_step(fmt: TagFormat) -> Step:
+    """The lattice-DP step of the symbolic weight on tags of *fmt*: an
+    up-step multiplies each monomial at its start by B(g), the height of
+    the start, any other step by C(g2), the height of the end, each by
+    adding that variable's tag.  Seed the walk with {0: 1}, the monomial 1."""
+    bits = 8 * fmt.width
+    up = [1 << bits * g for g in range(fmt.heights)]
+    other = [1 << bits * (fmt.heights + g) for g in range(fmt.heights)]
+
+    def step(vector, kind, g, g2):
+        power = up[g] if kind is StepKind.UP else other[g2]
+        return ((tag + power, coeff) for tag, coeff in vector.items())
+
+    return step
 
 
-def tag_polynomial(sums: dict) -> "WeightPolynomial":
-    """Summed `weight_step` tags {(b, c): coefficient} as a polynomial."""
-    return WeightPolynomial({WeightMonomial(b, c): v for (b, c), v in sums.items()})
+def tag_polynomial(sums: dict, fmt: TagFormat) -> "WeightPolynomial":
+    """Summed `weight_step` tags {tag: coefficient}, none of them zero, as
+    a polynomial that keeps them packed."""
+    poly = WeightPolynomial()
+    poly._terms, poly._packed = None, (fmt, sums)
+    return poly
 
 
 def sswt(path: BallotPath) -> WeightMonomial:
@@ -162,16 +217,30 @@ def _tail(points):
 
 
 class WeightPolynomial:
-    """Sparse integer-coefficient polynomial in the B/C variables."""
+    """Sparse integer-coefficient polynomial in the B/C variables.
 
-    __slots__ = ("terms",)
+    Made from {monomial: coefficient}, or by `tag_polynomial` from the
+    packed tags of a walk, which it keeps until `terms` first decodes them;
+    `text` and `to_json` print from tags either way."""
+
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: Optional[Mapping[WeightMonomial, int]] = None):
-        self.terms: dict[WeightMonomial, int] = {}
+        self._terms: Optional[dict[WeightMonomial, int]] = {}
+        self._packed: Optional[tuple[TagFormat, dict]] = None
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
-                    self.terms[mono] = coeff
+                    self._terms[mono] = coeff
+
+    @property
+    def terms(self) -> dict[WeightMonomial, int]:
+        """{monomial: coefficient}, decoded from the tags on first use."""
+        if self._terms is None:
+            fmt, tags = self._packed
+            self._terms = {fmt.monomial(tag): coeff for tag, coeff in tags.items()}
+            self._packed = None
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,16 +257,17 @@ class WeightPolynomial:
             else:
                 result.pop(mono, None)
         out = WeightPolynomial()
-        out.terms = result
+        out._terms = result
         return out
 
     def add_monomial(self, mono: WeightMonomial, coeff: int = 1) -> None:
         """In-place accumulate; used by enumeration loops."""
-        new = self.terms.get(mono, 0) + coeff
+        terms = self.terms
+        new = terms.get(mono, 0) + coeff
         if new:
-            self.terms[mono] = new
+            terms[mono] = new
         else:
-            self.terms.pop(mono, None)
+            terms.pop(mono, None)
 
     def drop_c(self) -> "WeightPolynomial":
         """Specialize every C variable to 1, combining terms."""
@@ -212,26 +282,45 @@ class WeightPolynomial:
         )
         return total % modulus if modulus is not None else total
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (item[0].b, item[0].c[::-1]),
-        )
+    def _ordered(self, b_form: Callable, c_form: Callable) -> Iterator[tuple]:
+        """(b_form(B pairs), c_form(C pairs), coefficient) of each term in
+        print order: by the B block's (index, exponent) pairs, then by the
+        C block's packed value, whose most significant slot is the highest
+        C index, which orders the C pairs read from the highest index down.
+        Each form is made once per distinct block."""
+        fmt, tags = self._packed or TagFormat.packing(self._terms)
+        shift = fmt.shift
+        low = (1 << shift) - 1
+        by_b: dict[int, list[tuple[int, int]]] = {}
+        for tag, coeff in tags.items():
+            by_b.setdefault(tag & low, []).append((tag >> shift, coeff))
+        b_pairs = {b: fmt.pairs(b) for b in by_b}
+        c_forms: dict[int, object] = {}
+        for b in sorted(by_b, key=b_pairs.__getitem__):
+            b_made = b_form(b_pairs[b])
+            for c, coeff in sorted(by_b.pop(b)):
+                c_made = c_forms.get(c)
+                if c_made is None:
+                    c_made = c_forms[c] = c_form(fmt.pairs(c))
+                yield b_made, c_made, coeff
+
+    def text_pieces(self) -> Iterator[str]:
+        """The print form one term at a time, each after the first led by
+        ' + ' or ' - ', so that a long polynomial can be written out
+        without being held as one string."""
+        lead = ("", "-")
+        terms = self._ordered(partial(_factors, "B"), lambda pairs: _factors("C", pairs[::-1]))
+        for b, c, coeff in terms:
+            mono = f"{b}*{c}" if b and c else b or c
+            size = abs(coeff)
+            body = mono if size == 1 and mono else f"{size}*{mono}" if mono else str(size)
+            yield lead[coeff < 0] + body
+            lead = (" + ", " - ")
+        if not lead[0]:
+            yield "0"
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self._sorted_terms():
-            if mono == MONOMIAL_ONE:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono.text())
-            elif coeff == -1:
-                parts.append(f"-{mono.text()}")
-            else:
-                parts.append(f"{coeff}*{mono.text()}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return "".join(self.text_pieces())
 
     def __str__(self) -> str:
         return self.text()
@@ -242,11 +331,11 @@ class WeightPolynomial:
     def to_json(self) -> Iterator[dict]:
         """JSON form, one term at a time in `text` order: coefficients as
         decimal strings, exponent maps per block."""
-        for mono, coeff in self._sorted_terms():
+        for b, c, coeff in self._ordered(tuple, tuple):
             yield {
                 "coeff": str(coeff),
-                "b": {str(i): e for i, e in mono.b},
-                "c": {str(j): e for j, e in mono.c},
+                "b": {str(i): e for i, e in b},
+                "c": {str(j): e for j, e in c},
             }
 
 

@@ -254,6 +254,12 @@ def test_closed_stdout_ends_quietly(argv, read):
             (["triangle", "height", "2", "--rows", "126"], b"TRIANGLE_WORK_BUDGET"),
             (["sswcn", "3", "3000"], b"LATTICE_WORK_BUDGET"),
             (["count", "3", "200000"], b"CATALAN_BITS_BUDGET"),
+            (["enumerate", "6", "6"], b"ENUMERATE_PATH_BUDGET"),
+            (["enumerate", "3", "40", "--bound", "4"], b"ENUMERATE_PATH_BUDGET"),
+            (
+                ["oeis-check", "A001246", "rightmost:4", "--offline", "--terms", "21"],
+                b"TRIANGLE_WORK_BUDGET",
+            ),
         )
     ],
 )

@@ -127,6 +127,23 @@ def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
     assert asked == [0, 1, 2]
 
 
+def test_enumeration_budget_counts_the_paths_up_front():
+    budget = counting.ENUMERATE_PATH_BUDGET
+    for k, n in ((4, 4), (3, 7), (4, 5), (5, 4), (2, 13)):
+        assert catalan_number(k, n) <= budget
+        counting._check_enumeration(k, n)
+    for k, n, u in ((2, 14, None), (6, 6, None), (3, 8, 100), (3, 40, 4)):
+        with pytest.raises(TooLargeError, match="ENUMERATE_PATH_BUDGET"):
+            counting._check_enumeration(k, n, u)
+    # A bound below the largest height counts only the paths under it.
+    assert catalan_number(6, 6) > budget >= bounded_sswcn_dp(6, 9, 6)
+    counting._check_enumeration(6, 6, 9)
+    assert bounded_sswcn_dp(3, 4, 10) <= budget < bounded_sswcn_dp(3, 4, 11)
+    counting._check_enumeration(3, 10, 4)
+    with pytest.raises(TooLargeError, match="of height <= 4 than ENUMERATE_PATH_BUDGET"):
+        counting._check_enumeration(3, 11, 4)
+
+
 def test_state_space_3_5_golden():
     space = build_state_space(3, 5)
     assert space.states == ((0, 0, 0), (2, 1, 0))

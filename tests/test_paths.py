@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sscat import (
@@ -17,7 +19,9 @@ from sscat import (
     ss_height_point,
     step_class,
 )
-from sscat.paths import StepKind, height_coefficients
+from sscat import paths
+from sscat.counting import max_path_height
+from sscat.paths import StepKind, ballot_successors, ballot_walks, height_coefficients
 
 
 def test_height_coefficients():
@@ -150,3 +154,54 @@ def test_reverse_complement_involution_and_height():
             assert list(q.points()) == reflected[::-1]
     with pytest.raises(InvalidPathError):
         reverse_complement(BallotPath(3, (1, 2)))
+
+
+def plain_dfs(k, start, top, height_bound=None):
+    """The walker's oracle: the same depth-first walks, one step at a time,
+    trying directions 1..k at each point, with no suffix lists."""
+    coeffs = height_coefficients(k)
+    g0 = ss_height_point(start)
+    if height_bound is not None and g0 > height_bound:
+        return
+    length = sum(top) - sum(start)
+    x = list(start)
+    steps = []
+    # Moves still to try, the next one last, as (direction, height after
+    # it); a negative direction takes that step back.
+    todo = [(0, g0)]
+    while todo:
+        d, g = todo.pop()
+        if d < 0:
+            x[-d - 1] -= 1
+            steps.pop()
+            continue
+        if d:
+            x[d - 1] += 1
+            steps.append(d)
+            todo.append((-d, g))
+        if len(steps) == length:
+            yield tuple(steps)
+            continue
+        for e in reversed(ballot_successors(x, top)):
+            g2 = g + coeffs[e - 1]
+            if height_bound is None or g2 <= height_bound:
+                todo.append((e, g2))
+
+
+@pytest.mark.parametrize("suffix_steps", [0, paths.SUFFIX_STEPS, 10**9])
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 4), (4, 3), (5, 3), (6, 2)])
+def test_walker_yields_the_plain_dfs_walks_in_order(monkeypatch, suffix_steps, k, n):
+    # No suffix lists but the top's, the default, and one list at the start.
+    monkeypatch.setattr(paths, "SUFFIX_STEPS", suffix_steps)
+    top = (n,) * k
+    starts = [p for p in itertools.product(range(n + 1), repeat=k) if is_ballot_point(p)]
+    for start in starts:
+        for u in [None, *range(max_path_height(k, n) + 2)]:
+            expected = list(plain_dfs(k, start, top, u))
+            assert list(ballot_walks(k, start, top, u)) == expected, (start, u)
+
+
+def test_a_long_walk_with_one_branch():
+    # Under u = 2 at k = 3 the one path is (1, 2, 3)^n; only points within
+    # SUFFIX_STEPS of the top keep their suffixes.
+    assert list(enumerate_paths(3, 3000, height_bound=2)) == [(1, 2, 3) * 3000]

@@ -16,10 +16,11 @@ from sscat import (
     legacy_wt,
     ss_height_path,
     ss_height_point,
+    sswcn_lattice,
     sswt,
 )
 from sscat.paths import StepKind
-from sscat.weights import MONOMIAL_ONE, tag_polynomial, weight_step
+from sscat.weights import TagFormat, tag_polynomial, weight_step
 
 
 def test_point_heights():
@@ -165,9 +166,69 @@ def test_polynomial_text():
 @pytest.mark.parametrize("kind", list(StepKind))
 def test_weight_step_takes_b_at_an_up_steps_start_else_c_at_the_end(kind):
     g, g2 = 3, 5
-    vector = {MONOMIAL_ONE: 2}
-    for step in [(kind, g, g2), (kind, g, g2), (StepKind.UP, 1, 4)]:
-        vector = dict(weight_step(vector, *step))
+    fmt = TagFormat.for_walk(g2 + 1, 3)
+    step = weight_step(fmt)
+    vector = {0: 2}  # twice the monomial 1
+    for args in [(kind, g, g2), (kind, g, g2), (StepKind.UP, 1, 4)]:
+        vector = dict(step(vector, *args))
     b, c = ([g, g], []) if kind is StepKind.UP else ([], [g2, g2])
     expected = WeightMonomial.from_indices(b + [1], c)
-    assert tag_polynomial(vector) == WeightPolynomial({expected: 2})
+    assert tag_polynomial(vector, fmt) == WeightPolynomial({expected: 2})
+
+
+@pytest.mark.parametrize("n", [127, 254, 255, 256, 300])
+def test_exponents_that_fill_or_cross_a_byte(n):
+    # At k = 2 and u = 1 the one path is (1, 2)^n, of weight B0^n * C0^n.
+    # A walk of 2n steps takes 2-byte slots from n = 128 on.
+    assert TagFormat.for_walk(2, 2 * n).width == (1 if n < 128 else 2)
+    poly = sswcn_lattice(2, n, 1)
+    assert poly.text() == f"B0^{n}*C0^{n}"
+    assert poly.evaluate(WeightAssignment(b_prefix=(2,), c_prefix=(3,))) == 6**n
+    assert poly == WeightPolynomial({WeightMonomial(((0, n),), ((0, n),)): 1})
+
+
+def _print_key(mono):
+    return mono.b, mono.c[::-1]
+
+
+def _text_by_sorted_terms(poly):
+    """The print form by the tuple order of the monomials: B pairs, then
+    C pairs read from the highest index down."""
+    parts = []
+    for mono, coeff in sorted(poly.terms.items(), key=lambda item: _print_key(item[0])):
+        if mono == WeightMonomial():
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono.text())
+        elif coeff == -1:
+            parts.append(f"-{mono.text()}")
+        else:
+            parts.append(f"{coeff}*{mono.text()}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+blocks = st.dictionaries(st.integers(0, 9), st.integers(1, 300), max_size=4)
+wide_polys = st.dictionaries(
+    st.tuples(blocks, blocks).map(
+        lambda bc: WeightMonomial(tuple(sorted(bc[0].items())), tuple(sorted(bc[1].items())))
+    ),
+    st.integers(-3, 3).filter(bool),
+    max_size=8,
+).map(WeightPolynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys)
+def test_packed_print_order_is_the_order_of_sorted_terms(p):
+    fmt, tags = TagFormat.packing(p.terms)
+    assert {fmt.monomial(tag): coeff for tag, coeff in tags.items()} == p.terms
+    packed = tag_polynomial(tags, fmt)
+    expected = _text_by_sorted_terms(p)
+    assert packed.text() == p.text() == expected
+    order = sorted(p.terms, key=_print_key)
+    decoded = [
+        tuple(tuple((int(i), e) for i, e in term[block].items()) for block in "bc")
+        for term in packed.to_json()
+    ]
+    assert decoded == [(mono.b, mono.c) for mono in order]
+    assert packed == p
