@@ -6,7 +6,10 @@ functions run the layered DP over the ballot points of the box, with the
 symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
 T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
-same DP sums over the k-step blocks from each state.  Runs of fewer than
+same DP sums over the k-step blocks from each state, found by one BFS.
+Counting routes walk the blocks with the numeric step at their weights,
+so none builds a polynomial; the symbolic entries, the same BFS with
+`weight_step`, are a test oracle.  Runs of fewer than
 `RECURRENCE_FROM` * S terms iterate the orbit gamma_n = T gamma_{n-1},
 one product per nonzero entry of T per step.  Longer runs take the
 orbit's first 2S exact terms, find their minimal recurrence, of order
@@ -40,6 +43,7 @@ from .errors import (
 from .paths import (
     BallotPath,
     Point,
+    Step,
     StepKind,
     _Frozen,
     enumerate_paths,
@@ -53,7 +57,6 @@ from .weights import (
     ALL_ONES,
     TagFormat,
     WeightAssignment,
-    WeightMonomial,
     WeightPolynomial,
     legacy_wt,
     sswt,
@@ -214,39 +217,61 @@ def sswcn_lattice_value(
     """`sswcn_lattice` evaluated at the weights *w*, reduced mod *modulus*
     after every step when given, refused past `LATTICE_WORK_BUDGET`."""
     _check_lattice_work(k, n, w, modulus)
+    value = lattice_sum(k, n, {None: 1}, _value_step(w, modulus))[None]
+    return value if modulus is None else value % modulus
+
+
+def _value_step(w: WeightAssignment, modulus: Optional[int]) -> Step:
+    """The numeric `weight_step` at *w* on one count keyed None, reduced
+    mod *modulus* when given: an up-step multiplies it by b(g), any other
+    step by c(g2).  Seed the walk with {None: 1}."""
 
     def step(vector, kind, g, g2):
         value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
         return ((None, value if modulus is None else value % modulus),)
 
-    value = lattice_sum(k, n, {None: 1}, step)[None]
-    return value if modulus is None else value % modulus
+    return step
 
 
 # ---------------------------------------------------------------------------
 # Transfer-matrix DP over normalized boundary states.
 
 
-def _normalize(p: Point) -> Point:
-    """Subtract x_k * (1,...,1); height-preserving since the g coefficients
-    sum to zero."""
-    shift = p[-1]
-    return tuple(c - shift for c in p)
-
-
-def _block_format(k: int, u: int) -> TagFormat:
-    """The tags of the k-step blocks at the bound u."""
-    return TagFormat.for_walk(u + 1, k)
-
-
-def _blocks(k: int, u: int, a: Point) -> dict[Point, dict]:
-    """The k-step sub-ballot blocks from *a* with height <= u, summed by the
-    layered DP: {normalized endpoint: {`_block_format` tag: coefficient}}.
-    Distinct endpoints of k steps from *a* never normalize alike."""
+def _blocks(k: int, u: int, a: Point, seed: dict, step: Step) -> dict[Point, dict]:
+    """The k-step sub-ballot blocks from *a* with height <= u, summed by
+    the layered DP from *seed* with *step*: {normalized endpoint: vector}.
+    Every endpoint reached is a key, whatever *step* yields.  Normalizing
+    subtracts x_k * (1, ..., 1), which keeps the height since the g
+    coefficients sum to zero; distinct endpoints never normalize alike."""
     # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    step = weight_step(_block_format(k, u))
-    walk = lattice_walk(k, a, tuple(c + k for c in a), k, {0: 1}, step, u)
-    return {_normalize(y): vector for y, vector in walk.items()}
+    walk = lattice_walk(k, a, tuple(c + k for c in a), k, seed, step, u)
+    return {tuple(c - y[-1] for c in y): vector for y, vector in walk.items()}
+
+
+def _walk_states(k: int, u: int, seed: dict, step: Step) -> tuple[list[Point], list[dict]]:
+    """One BFS from the all-zero state under normalized k-step blocks: the
+    states in discovery order, all-zero first, then each level's new
+    states in sorted order, and each state's `_blocks`, walked once.  The
+    keys of the blocks, and so the order, never depend on *step*."""
+    if u < 0:
+        raise ValueError(f"height bound must be >= 0, got {u}")
+    states = [(0,) * k]
+    rows: list[dict[Point, dict]] = []
+    while len(rows) < len(states):
+        level = states[len(rows) :]
+        rows.extend(_blocks(k, u, state, seed, step) for state in level)
+        found = {s for row in rows[-len(level) :] for s in row}
+        new = sorted(found.difference(states))
+        for s in new:
+            if s[-1] != 0 or ss_height_point(s) > u:
+                raise FormulaViolationError(
+                    f"state {s} is not normalized or lies above the bound u={u}",
+                    expected=f"last coordinate 0 and height <= {u}",
+                    actual=s,
+                    witness=(k, u),
+                )
+        states.extend(new)
+    return states, rows
 
 
 class StateSpace(_Frozen):
@@ -266,34 +291,54 @@ class StateSpace(_Frozen):
 
 @lru_cache(maxsize=None)
 def build_state_space(k: int, u: int) -> StateSpace:
-    """The states of `_transfer_matrix(k, u)`, in its BFS order."""
-    return _transfer_matrix(k, u).space
+    """The states of `_transfer_matrix(k, u)`, in its BFS order, walked
+    with a step that carries nothing."""
+    return StateSpace(k, u, tuple(_walk_states(k, u, {}, lambda *_: ())[0]))
 
 
 class TransferMatrix(NamedTuple):
-    """Symbolic k-step transition matrix over the state space.
+    """The u-bounded k-step transition matrix over the state space.
 
     Entry (i, j) sums the semisymmetric weight over the height-bounded
-    k-step blocks from state i whose endpoint normalizes to state j.  All
-    zero entries are one shared empty polynomial, so entries are read,
-    never changed in place."""
+    k-step blocks from state i whose endpoint normalizes to state j.  Each
+    reading walks the blocks with the step it needs: `evaluated` with the
+    numeric step at given weights, the only reading of any counting route,
+    and `entries` with `weight_step`, a test oracle."""
 
-    space: StateSpace
-    entries: tuple[tuple[WeightPolynomial, ...], ...]
+    k: int
+    u: int
+
+    @property
+    def space(self) -> StateSpace:
+        return build_state_space(self.k, self.u)
+
+    @property
+    def entries(self) -> tuple[tuple[WeightPolynomial, ...], ...]:
+        """The symbolic entries, polynomials that keep the blocks' packed
+        tags.  All zero entries are one shared empty polynomial, so
+        entries are read, never changed in place."""
+        fmt = TagFormat.for_walk(self.u + 1, self.k)
+        states, rows = _walk_states(self.k, self.u, {0: 1}, weight_step(fmt))
+        return tuple(
+            tuple(tag_polynomial(row[s], fmt) if s in row else _ZERO for s in states)
+            for row in rows
+        )
 
     def evaluated(
         self, w: WeightAssignment, modulus: Optional[int] = None
     ) -> list[list[tuple[int, int]]]:
-        """The matrix evaluated at *w* (mod *modulus* when given), each row
-        as its nonzero (column, value) pairs; zero polynomials are skipped
-        without evaluation."""
+        """The matrix at the weights *w* (mod *modulus* when given), each
+        row as its nonzero (column, value) pairs by column, from the blocks
+        walked with the step of `sswcn_lattice_value`."""
+        states, rows = _walk_states(self.k, self.u, {None: 1}, _value_step(w, modulus))
+        column = {s: j for j, s in enumerate(states)}
         return [
-            [
-                (j, value)
-                for j, poly in enumerate(row)
-                if poly.terms and (value := poly.evaluate(w, modulus))
-            ]
-            for row in self.entries
+            sorted(
+                (column[s], value)
+                for s, vector in row.items()
+                if (value := vector[None] if modulus is None else vector[None] % modulus)
+            )
+            for row in rows
         ]
 
 
@@ -302,42 +347,8 @@ _ZERO = WeightPolynomial()
 
 @lru_cache(maxsize=None)
 def _transfer_matrix(k: int, u: int) -> TransferMatrix:
-    """The u-bounded transfer matrix, by one BFS from the all-zero state
-    under normalized k-step blocks.  Each state's blocks are walked once,
-    and their sums become its row as they are found.  States are numbered
-    in discovery order: all-zero first, then each level's new states in
-    sorted order."""
-    if u < 0:
-        raise ValueError(f"height bound must be >= 0, got {u}")
-    fmt = _block_format(k, u)
-    # One monomial per distinct tag, shared by every entry that has it.
-    monomials: dict[int, WeightMonomial] = {}
-
-    def entry(sums: dict) -> WeightPolynomial:
-        return WeightPolynomial(
-            {monomials.get(t) or monomials.setdefault(t, fmt.monomial(t)): v
-             for t, v in sums.items()}
-        )
-
-    states = [(0,) * k]
-    rows: list[dict[Point, WeightPolynomial]] = []
-    while len(rows) < len(states):
-        level = states[len(rows) :]
-        for state in level:
-            rows.append({w: entry(sums) for w, sums in _blocks(k, u, state).items()})
-        found = {w for row in rows[-len(level) :] for w in row}
-        new = sorted(found.difference(states))
-        for s in new:
-            if s[-1] != 0 or ss_height_point(s) > u:
-                raise FormulaViolationError(
-                    f"state {s} is not normalized or lies above the bound u={u}",
-                    expected=f"last coordinate 0 and height <= {u}",
-                    actual=s,
-                    witness=(k, u),
-                )
-        states.extend(new)
-    entries = tuple(tuple(row.get(s, _ZERO) for s in states) for row in rows)
-    return TransferMatrix(StateSpace(k, u, tuple(states)), entries)
+    """The u-bounded transfer matrix; it holds only (k, u)."""
+    return TransferMatrix(k, u)
 
 
 def _apply(

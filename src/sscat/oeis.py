@@ -73,14 +73,6 @@ def parse_bfile(text: str, id: str = "") -> SequenceRecord:
     return SequenceRecord(id, offset, tuple(values))
 
 
-def _cache_dir(cache_dir: Optional[str]) -> Path:
-    return Path(cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
-
-
-def _bfile_name(id: str) -> str:
-    return f"b{id[1:]}.txt"
-
-
 def _atomic_write(path: Path, text: str) -> None:
     # Imported here: only a fetch writes, and tempfile (with shutil and
     # random) takes about 14 ms to import on Python 3.11.
@@ -107,7 +99,8 @@ def fetch_bfile(
     via temp-file-then-rename."""
     if not _ID_PATTERN.match(id):
         raise ValueError(f"{id!r} is not a valid A-number")
-    cache_path = _cache_dir(cache_dir) / _bfile_name(id)
+    cache_dir = cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+    cache_path = Path(cache_dir) / f"b{id[1:]}.txt"
     if cache_path.is_file():
         return parse_bfile(cache_path.read_text(), id)
     fixture = _FIXTURE_DIR / f"{id}.txt"

@@ -174,11 +174,6 @@ def _expect(condition: bool, message: str, expected, actual, witness=None) -> No
         raise FormulaViolationError(message, expected=expected, actual=actual, witness=witness)
 
 
-def _power_poly(b_indices: Sequence[int], n: int) -> WeightPolynomial:
-    """The monomial (prod B_i)^n as a one-term polynomial."""
-    return WeightPolynomial({WeightMonomial.from_indices(list(b_indices) * n): 1})
-
-
 _MIN_U_CASES = {
     3: ((2, 3), (0,)),  # bounds u=2,3: count is B0^n
     4: ((4, 5), (0, 3)),  # bounds u=4,5: count is (B0 B3)^n
@@ -196,7 +191,7 @@ def verify_min_u_formulas(k: int, n: int) -> VerificationRecord:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bounds, b_indices = _MIN_U_CASES[k]
-    expected = _power_poly(b_indices, n)
+    expected = WeightPolynomial({WeightMonomial.from_indices(list(b_indices) * n): 1})
     checks = []
     for u in bounds:
         actual = sswcn_lattice(k, n, u).drop_c()

@@ -26,6 +26,7 @@ from sscat import (
     sswcn_lattice,
     syt,
     triangles,
+    weights,
 )
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
 
@@ -380,6 +381,33 @@ def test_oeis_check_bounded_evaluates_the_matrix_once(capsys, monkeypatch, tmp_p
     )
     assert out == "A015448 vs bounded:3,4: match over 20 terms\n"
     assert code == 0 and calls == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounded", "3", "30", "2000"),
+        ("period", "3", "8", "--mod", "47"),
+        ("scan-pow2", "--k-max", "5", "--u-max", "8"),
+        ("verify", "recurrence-3-4"),
+        ("oeis-check", "A015448", "bounded:3,4", "--offline", "--terms", "20"),
+    ],
+    ids=" ".join,
+)
+def test_counting_commands_build_no_polynomial(monkeypatch, capsys, tmp_path, argv):
+    # The transfer matrix is walked at the weights of the run: no entry is
+    # a polynomial, however the caches were filled before.
+    monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))  # only the bundled b-files
+    counting._transfer_matrix.cache_clear()
+    counting.build_state_space.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counting route built a polynomial")
+
+    for module in (weights, counting):
+        monkeypatch.setattr(module, "tag_polynomial", refuse)
+    monkeypatch.setattr(weights.WeightPolynomial, "__init__", refuse)
+    assert main(list(argv)) == 0, capsys.readouterr().err
 
 
 def test_syt(capsys):

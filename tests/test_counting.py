@@ -198,28 +198,49 @@ def block_oracle(k, u):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_transfer_matrix_matches_block_oracle(k):
+    # The numeric rows, walked with the step at w, are the symbolic
+    # entries evaluated at w, at weights with zeros and negative values.
+    rng = random.Random(20261019 + k)
+    assignments = [ALL_ONES, WeightAssignment((0, -2, 3), -1, (2, 0, -3), 4)]
+    assignments += [random_assignment(rng) for _ in range(3)]
     for u in range(2 * min_path_height(k) + 3):
         states, texts = block_oracle(k, u)
         matrix = _transfer_matrix(k, u)
         assert matrix.space.states == states, u
-        assert [[entry.text() for entry in row] for row in matrix.entries] == texts, u
+        entries = matrix.entries
+        assert [[entry.text() for entry in row] for row in entries] == texts, u
+        for w in assignments:
+            for m in (None, 1, 2, 7, 30):
+                expected = [
+                    [(j, v) for j, e in enumerate(row) if (v := e.evaluate(w, m))]
+                    for row in entries
+                ]
+                assert matrix.evaluated(w, m) == expected, (u, w, m)
 
 
 def test_transfer_matrix_walks_each_state_once(monkeypatch):
+    # Each reading of the matrix walks every state's blocks once.
     walked = []
     blocks = counting._blocks
 
-    def counted(k, u, a):
+    def counted(k, u, a, seed, step):
         walked.append(a)
-        return blocks(k, u, a)
+        return blocks(k, u, a, seed, step)
 
     monkeypatch.setattr(counting, "_blocks", counted)
     for k, u in ((3, 5), (4, 12), (5, 10)):
         counting._transfer_matrix.cache_clear()
         counting.build_state_space.cache_clear()
-        walked.clear()
         matrix = counting._transfer_matrix(k, u)
-        assert sorted(walked) == sorted(matrix.space.states), (k, u)
+        readings = {
+            "space": lambda: matrix.space,
+            "entries": lambda: matrix.entries,
+            "evaluated": lambda: matrix.evaluated(ALL_ONES, 7),
+        }
+        for name, read in readings.items():
+            walked.clear()
+            read()
+            assert sorted(walked) == sorted(matrix.space.states), (k, u, name)
         zeros = {id(e) for row in matrix.entries for e in row if e.is_zero()}
         assert len(zeros) <= 1, (k, u)
 
