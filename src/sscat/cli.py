@@ -167,24 +167,17 @@ def _cmd_sswcn(args) -> int:
             "--b and --c do not apply to sswcn --symbolic, which keeps B and C as variables"
         )
     # Either form of the polynomial can take hundreds of MB: build only the
-    # one that is printed.
+    # one that is printed, and write it a term at a time.
     poly = sswcn_lattice(args.k, args.n)
-    if args.format != "json":
+    write = sys.stdout.write
+    if args.format == "json":
+        # The bytes of json.dumps(..., indent=2) of the whole document.
+        write(f'{{\n  "k": {args.k},\n  "n": {args.n},\n  "polynomial": ')
+        sys.stdout.writelines(poly.json_pieces())
+        write("\n}\n")
+    else:
         sys.stdout.writelines(poly.text_pieces())
-        print()
-        return 0
-    # The bytes of json.dumps(..., indent=2) of the whole document, written
-    # one term at a time so that the term list is never held.  A balanced
-    # path always exists, so the list is never empty.
-    import json
-
-    print(f'{{\n  "k": {args.k},\n  "n": {args.n},\n  "polynomial": [', end="")
-    encode = json.JSONEncoder(indent=2).encode
-    sep = "\n    "
-    for term in poly.to_json():
-        print(sep + encode(term).replace("\n", "\n    "), end="")
-        sep = ",\n    "
-    print("\n  ]\n}")
+        write("\n")
     return 0
 
 

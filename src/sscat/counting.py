@@ -28,7 +28,7 @@ exactly.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import islice
 from operator import mul
@@ -67,17 +67,20 @@ from .weights import (
 DEFAULT_PATH_CAP = 10**7
 
 # Budget of `catalan_number`: the bits of (kn)!, estimated by Stirling's
-# series (`math.lgamma`) before any factorial is formed.  The division
-# costs about the square of the bits: `count 3 40000` (1.9e6 bits) takes
-# about 1.4 s on a 2-core VM with Python 3.11.  The budget admits n up to
-# about 44,000 at k = 3.
+# series (`math.lgamma`) before any factorial is formed; the hook product,
+# taken over the shorter side, has fewer.  The division costs about the
+# square of the bits: `count 3 40000` (1.9e6 bits) takes about 1.4 s on a
+# 2-core VM with Python 3.11.  The budget admits n up to about 44,000 at
+# k = 3.
 CATALAN_BITS_BUDGET = 2**21
 
 
 def catalan_number(k: int, n: int) -> int:
     """The n-th k-dimensional Catalan number: the standard Young tableaux of
-    the k x n rectangle, (kn)! over the product of its hook lengths: row i
-    (0 <= i < k) has i + 1, ..., i + n, whose product is (n+i)!/i!.
+    the k x n rectangle, (kn)! over the product of its hook lengths.  The
+    n x k rectangle has as many, so the product runs over the shorter
+    side: with r rows of c cells, r <= c, row i (0 <= i < r) has hooks
+    i + 1, ..., i + c, whose product is (c+i)!/i!.
 
     Accepts k >= 1 (the degenerate k=1 column is identically 1).  Raises
     `TooLargeError` when (kn)! has more than `CATALAN_BITS_BUDGET` bits."""
@@ -95,7 +98,8 @@ def catalan_number(k: int, n: int) -> int:
             f"the Catalan number (k={k}, n={n}) needs more than "
             f"CATALAN_BITS_BUDGET = {CATALAN_BITS_BUDGET} bits for (kn)!"
         )
-    hooks = math.prod(math.factorial(n + i) // math.factorial(i) for i in range(k))
+    rows, cols = min(k, n), max(k, n)
+    hooks = math.prod(math.perm(cols + i, cols) for i in range(rows))
     quotient, remainder = divmod(math.factorial(k * n), hooks)
     if remainder:
         raise FormulaViolationError(
@@ -107,18 +111,23 @@ def catalan_number(k: int, n: int) -> int:
     return quotient
 
 
+def _paths_over(k: int, n: int, cap: int) -> bool:
+    """Whether (k, n) has more than *cap* paths.  The count never
+    decreases in n, since appending the steps 1..k keeps a path balanced
+    and ballot, so the scan stops at the first m <= n over the cap (m <= 16
+    for every k >= 2 at the caps here) without the (kn)!-sized count."""
+    return any(catalan_number(k, m) > cap for m in range(n + 1))
+
+
 def _check_cap(k: int, n: int) -> None:
     """Raise `TooLargeError` when (k, n) has more than `DEFAULT_PATH_CAP`
-    paths.  The count never decreases in n, since appending the steps
-    1..k keeps a path balanced and ballot, so the first m <= n over the cap
-    decides (m <= 16 for every k >= 2) without the (kn)!-sized count."""
+    paths."""
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
-    for m in range(n + 1):
-        if catalan_number(k, m) > DEFAULT_PATH_CAP:
-            raise TooLargeError(
-                f"(k={k}, n={n}) has more paths than the cap of {DEFAULT_PATH_CAP}"
-            )
+    if _paths_over(k, n, DEFAULT_PATH_CAP):
+        raise TooLargeError(
+            f"(k={k}, n={n}) has more paths than the cap of {DEFAULT_PATH_CAP}"
+        )
 
 
 # Budget of `sscat enumerate`: the paths it prints, counted before the
@@ -131,10 +140,9 @@ ENUMERATE_PATH_BUDGET = 2**21
 
 def _check_enumeration(k: int, n: int, u: Optional[int] = None) -> None:
     """Raise `TooLargeError` when `enumerate_paths(k, n, u)` yields more than
-    `ENUMERATE_PATH_BUDGET` paths: the Catalan number decides as in
-    `_check_cap`, and under a bound below the largest height, the count of
-    the paths of height <= u."""
-    over = any(catalan_number(k, m) > ENUMERATE_PATH_BUDGET for m in range(n + 1))
+    `ENUMERATE_PATH_BUDGET` paths: the Catalan number decides, and under a
+    bound below the largest height, the count of the paths of height <= u."""
+    over = _paths_over(k, n, ENUMERATE_PATH_BUDGET)
     if over and u is not None and u < max_path_height(k, n):
         over = bounded_sswcn_dp(k, u, n) > ENUMERATE_PATH_BUDGET
     if over:
@@ -151,10 +159,7 @@ def _brute_sum(
     """The loop of the brute-force oracles: rebuild each enumerated walk as
     a `BallotPath` from *origin*, whose constructor checks it again, and
     sum its *weight*."""
-    poly = WeightPolynomial()
-    for steps in walks:
-        poly.add_monomial(weight(BallotPath(k, steps, origin)))
-    return poly
+    return WeightPolynomial(Counter(weight(BallotPath(k, steps, origin)) for steps in walks))
 
 
 def sswcn_brute(k: int, n: int) -> WeightPolynomial:

@@ -10,7 +10,7 @@ its resulting point).  This module owns the monomial formats and the DP
 step that multiplies by a step's weight, `weight_step`; the per-path
 statistics keep their own arithmetic as the DP's oracles.  Sums of
 weights are sparse polynomials with exact integer coefficients, which the
-package only adds, compares, evaluates and prints.
+package only builds, compares, evaluates and prints.
 
 A monomial is a `WeightMonomial`, two sorted (index, exponent) tuples, or
 inside the lattice DP a packed *tag*: one int that is the monomial at
@@ -19,7 +19,10 @@ B(g) = 256^(w*g) and C(g) = 256^(w*(H + g)) for the heights g < H
 that of C(g) slot H + g, each slot w bytes, little-endian; the `TagFormat`
 (H, w) of a walk of s steps takes the fewest w with 256^w - 1 > s, so no
 exponent carries into the next slot, and a step adds one power of 256.
-`WeightPolynomial` keeps the tags of a walk and prints from them.
+Tags are the only form of a `WeightPolynomial`: it keeps a walk's
+{tag: coefficient} as it is, packs a {monomial: coefficient} once, and
+decodes monomials only when `terms` is read.  Its text and JSON printers
+render each distinct B or C block once.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class WeightMonomial(NamedTuple):
             cls._normalize((i, 1) for i in b_indices),
             cls._normalize((j, 1) for j in c_indices),
         )
-
-    def drop_c(self) -> "WeightMonomial":
-        """Specialize every C variable to 1."""
-        return WeightMonomial(self.b, ())
 
     def evaluate(self, w: "WeightAssignment", modulus: Optional[int] = None) -> int:
         """The monomial at the weights *w*; mod *modulus* when given, each
@@ -166,11 +165,10 @@ def weight_step(fmt: TagFormat) -> Step:
     the start, any other step by C(g2), the height of the end, each by
     adding that variable's tag.  Seed the walk with {0: 1}, the monomial 1."""
     bits = 8 * fmt.width
-    up = [1 << bits * g for g in range(fmt.heights)]
-    other = [1 << bits * (fmt.heights + g) for g in range(fmt.heights)]
+    heights = fmt.heights
 
     def step(vector, kind, g, g2):
-        power = up[g] if kind is StepKind.UP else other[g2]
+        power = 1 << bits * (g if kind is StepKind.UP else heights + g2)
         return ((tag + power, coeff) for tag, coeff in vector.items())
 
     return step
@@ -178,9 +176,9 @@ def weight_step(fmt: TagFormat) -> Step:
 
 def tag_polynomial(sums: dict, fmt: TagFormat) -> "WeightPolynomial":
     """Summed `weight_step` tags {tag: coefficient}, none of them zero, as
-    a polynomial that keeps them packed."""
-    poly = WeightPolynomial()
-    poly._terms, poly._packed = None, (fmt, sums)
+    a polynomial that keeps the dict without copying it."""
+    poly = WeightPolynomial.__new__(WeightPolynomial)
+    poly._fmt, poly._tags = fmt, sums
     return poly
 
 
@@ -217,64 +215,41 @@ def _tail(points):
 
 
 class WeightPolynomial:
-    """Sparse integer-coefficient polynomial in the B/C variables.
+    """Sparse integer-coefficient polynomial in the B/C variables, kept as
+    packed tags: a `TagFormat` and {tag: coefficient}, no coefficient zero.
 
-    Made from {monomial: coefficient}, or by `tag_polynomial` from the
-    packed tags of a walk, which it keeps until `terms` first decodes them;
-    `text` and `to_json` print from tags either way."""
+    Made from {monomial: coefficient}, which it packs once, or by
+    `tag_polynomial` from the summed tags of a walk, which it keeps as
+    they are; `terms` decodes the tags on every read."""
 
-    __slots__ = ("_terms", "_packed")
+    __slots__ = ("_fmt", "_tags")
 
     def __init__(self, terms: Optional[Mapping[WeightMonomial, int]] = None):
-        self._terms: Optional[dict[WeightMonomial, int]] = {}
-        self._packed: Optional[tuple[TagFormat, dict]] = None
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    self._terms[mono] = coeff
+        self._fmt, self._tags = TagFormat.packing(
+            {mono: coeff for mono, coeff in (terms or {}).items() if coeff}
+        )
 
     @property
     def terms(self) -> dict[WeightMonomial, int]:
-        """{monomial: coefficient}, decoded from the tags on first use."""
-        if self._terms is None:
-            fmt, tags = self._packed
-            self._terms = {fmt.monomial(tag): coeff for tag, coeff in tags.items()}
-            self._packed = None
-        return self._terms
+        """{monomial: coefficient}, decoded from the tags."""
+        monomial = self._fmt.monomial
+        return {monomial(tag): coeff for tag, coeff in self._tags.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._tags
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightPolynomial) and self.terms == other.terms
 
-    def __add__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        result = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = result.get(mono, 0) + coeff
-            if new:
-                result[mono] = new
-            else:
-                result.pop(mono, None)
-        out = WeightPolynomial()
-        out._terms = result
-        return out
-
-    def add_monomial(self, mono: WeightMonomial, coeff: int = 1) -> None:
-        """In-place accumulate; used by enumeration loops."""
-        terms = self.terms
-        new = terms.get(mono, 0) + coeff
-        if new:
-            terms[mono] = new
-        else:
-            terms.pop(mono, None)
-
     def drop_c(self) -> "WeightPolynomial":
-        """Specialize every C variable to 1, combining terms."""
-        out = WeightPolynomial()
-        for mono, coeff in self.terms.items():
-            out.add_monomial(mono.drop_c(), coeff)
-        return out
+        """Specialize every C variable to 1: mask off each tag's C block and
+        sum the coefficients of equal B blocks."""
+        low = (1 << self._fmt.shift) - 1
+        sums: dict[int, int] = {}
+        for tag, coeff in self._tags.items():
+            b = tag & low
+            sums[b] = sums.get(b, 0) + coeff
+        return tag_polynomial({b: coeff for b, coeff in sums.items() if coeff}, self._fmt)
 
     def evaluate(self, w: "WeightAssignment", modulus: Optional[int] = None) -> int:
         total = sum(
@@ -288,11 +263,11 @@ class WeightPolynomial:
         C block's packed value, whose most significant slot is the highest
         C index, which orders the C pairs read from the highest index down.
         Each form is made once per distinct block."""
-        fmt, tags = self._packed or TagFormat.packing(self._terms)
+        fmt = self._fmt
         shift = fmt.shift
         low = (1 << shift) - 1
         by_b: dict[int, list[tuple[int, int]]] = {}
-        for tag, coeff in tags.items():
+        for tag, coeff in self._tags.items():
             by_b.setdefault(tag & low, []).append((tag >> shift, coeff))
         b_pairs = {b: fmt.pairs(b) for b in by_b}
         c_forms: dict[int, object] = {}
@@ -319,6 +294,18 @@ class WeightPolynomial:
         if not lead[0]:
             yield "0"
 
+    def json_pieces(self) -> Iterator[str]:
+        """The JSON form one term at a time: the list of the terms in
+        `text` order, each {"coeff": decimal string, "b": {"index":
+        exponent}, "c": {"index": exponent}}, as the bytes of
+        `json.dumps(..., indent=2)` where the list is the value of a key of
+        the top-level object."""
+        lead = "[\n    "
+        for b, c, coeff in self._ordered(_json_block, _json_block):
+            yield f'{lead}{{\n      "coeff": "{coeff}",\n      "b": {b},\n      "c": {c}\n    }}'
+            lead = ",\n    "
+        yield "[]" if lead[0] == "[" else "\n  ]"
+
     def text(self) -> str:
         return "".join(self.text_pieces())
 
@@ -328,15 +315,14 @@ class WeightPolynomial:
     def __repr__(self) -> str:
         return f"WeightPolynomial({self.text()})"
 
-    def to_json(self) -> Iterator[dict]:
-        """JSON form, one term at a time in `text` order: coefficients as
-        decimal strings, exponent maps per block."""
-        for b, c, coeff in self._ordered(tuple, tuple):
-            yield {
-                "coeff": str(coeff),
-                "b": {str(i): e for i, e in b},
-                "c": {str(j): e for j, e in c},
-            }
+
+def _json_block(pairs) -> str:
+    """One block's {"index": exponent} object, indented as in a term of
+    `WeightPolynomial.json_pieces`."""
+    if not pairs:
+        return "{}"
+    items = ",\n".join(f'        "{i}": {e}' for i, e in pairs)
+    return f"{{\n{items}\n      }}"
 
 
 class WeightAssignment(NamedTuple):

@@ -29,6 +29,7 @@ from sscat import (
     weights,
 )
 from sscat.cli import _decimal_text, _parse_weight_sequence, main
+from tests.conftest import json_document
 
 
 def run(capsys, *argv):
@@ -212,7 +213,7 @@ def test_each_subcommand_accepts_exactly_the_formats_it_prints(
 
 
 def test_sswcn_symbolic_builds_only_the_printed_form(capsys, monkeypatch):
-    for fmt, unprinted in (("plain", "to_json"), ("json", "text")):
+    for fmt, unprinted in (("plain", "json_pieces"), ("json", "text_pieces")):
         with monkeypatch.context() as patch:
             patch.setattr(WeightPolynomial, unprinted, _forbid)
             code, out, _ = run(capsys, "sswcn", "3", "2", "--symbolic", "--format", fmt)
@@ -294,22 +295,21 @@ def test_sswcn_symbolic_and_numeric(capsys):
 @pytest.mark.parametrize("k,n", [(2, 0), (3, 2), (4, 3)])
 def test_sswcn_symbolic_json_is_written_term_by_term(capsys, k, n):
     code, out, _ = run(capsys, "sswcn", str(k), str(n), "--symbolic", "--format", "json")
-    poly = list(sswcn_lattice(k, n).to_json())
     assert code == 0
-    assert out == json.dumps({"k": k, "n": n, "polynomial": poly}, indent=2) + "\n"
+    assert out == json_document(k, n, sswcn_lattice(k, n)) + "\n"
 
 
 def test_sswcn_symbolic_json_prints_each_term_as_it_is_made(capsys, monkeypatch):
-    terms = list(sswcn_lattice(3, 2).to_json())
+    pieces = list(sswcn_lattice(3, 2).json_pieces())
 
     def two_then_fail(poly):
-        yield from terms[:2]
+        yield from pieces[:2]
         raise RuntimeError("stopped after two terms")
 
-    monkeypatch.setattr(WeightPolynomial, "to_json", two_then_fail)
+    monkeypatch.setattr(WeightPolynomial, "json_pieces", two_then_fail)
     with pytest.raises(RuntimeError):
         main(["sswcn", "3", "2", "--symbolic", "--format", "json"])
-    whole = json.dumps({"k": 3, "n": 2, "polynomial": terms}, indent=2)
+    whole = json_document(3, 2, sswcn_lattice(3, 2))
     printed = capsys.readouterr().out
     assert printed == whole[: len(printed)] and printed.count('"coeff"') == 2
 

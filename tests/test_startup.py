@@ -57,6 +57,8 @@ def test_import_sscat_loads_no_submodule():
         # past RECURRENCE_FROM * S terms, exact or mod m: the recurrence route
         ["bounded", "3", "30", "300"],
         ["bounded", "3", "30", "300", "--mod", "7"],
+        # the symbolic JSON form is written without the json module
+        ["sswcn", "3", "2", "--symbolic", "--format", "json"],
     ],
     ids=" ".join,
 )

@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscat import (
@@ -21,6 +22,7 @@ from sscat import (
 )
 from sscat.paths import StepKind
 from sscat.weights import TagFormat, tag_polynomial, weight_step
+from tests.conftest import json_document
 
 
 def test_point_heights():
@@ -88,11 +90,18 @@ def test_monomial_algebra():
     merged = WeightMonomial.from_indices([2, 0, 2], [4, 2, 0])
     assert merged.text() == "B0*B2^2*C4*C2*C0"
     assert merged.b == ((0, 1), (2, 2)) and merged.c == ((0, 1), (2, 1), (4, 1))
-    assert merged.drop_c().text() == "B0*B2^2"
     assert WeightMonomial().text() == "1"
     w = WeightAssignment(b_prefix=(2, 0, 3), c_prefix=(5,), c_fill=7)
     assert m1.evaluate(w) == 2 * 3 * 7
     assert m1.evaluate(w, modulus=5) == (2 * 3 * 7) % 5
+
+
+def test_drop_c_sums_the_terms_of_each_b_block():
+    merged = WeightMonomial.from_indices([2, 0, 2], [4, 2, 0])
+    b_only = WeightMonomial.from_indices([0, 2, 2])
+    assert WeightPolynomial({merged: 2, b_only: 1}).drop_c().text() == "3*B0*B2^2"
+    assert WeightPolynomial({merged: 2, b_only: -2}).drop_c().is_zero()
+    assert WeightPolynomial().drop_c().is_zero()
 
 
 def test_weight_assignment_fill():
@@ -103,10 +112,10 @@ def test_weight_assignment_fill():
 
 
 def _poly(terms):
-    out = WeightPolynomial()
+    summed = Counter()
     for (b, c), coeff in terms:
-        out.add_monomial(WeightMonomial.from_indices(b, c), coeff)
-    return out
+        summed[WeightMonomial.from_indices(b, c)] += coeff
+    return WeightPolynomial(summed)
 
 
 monomials = st.tuples(
@@ -119,34 +128,6 @@ polys = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys, polys, polys)
-def test_polynomial_ring_laws(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p + q == q + p
-    assert p + WeightPolynomial() == p
-    # cancelled terms are dropped, so p + (-p) is the empty polynomial
-    negated = WeightPolynomial({m: -c for m, c in p.terms.items()})
-    assert p + negated == WeightPolynomial()
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys)
-def test_polynomial_json_roundtrip(p):
-    decoded = {
-        WeightMonomial(
-            tuple((int(i), e) for i, e in term["b"].items()),
-            tuple((int(j), e) for j, e in term["c"].items()),
-        ): int(term["coeff"])
-        for term in p.to_json()
-    }
-    assert WeightPolynomial(decoded) == p
-    assert list(_poly([(([2, 0, 2], [4]), 3), (([], []), -1)]).to_json()) == [
-        {"coeff": "-1", "b": {}, "c": {}},
-        {"coeff": "3", "b": {"0": 1, "2": 2}, "c": {"4": 1}},
-    ]
-
-
-@settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_polynomial_evaluation_is_ring_morphism(p, q):
     rng = random.Random(7)
@@ -154,7 +135,11 @@ def test_polynomial_evaluation_is_ring_morphism(p, q):
         b_prefix=tuple(rng.randint(-3, 3) for _ in range(5)),
         c_prefix=tuple(rng.randint(-3, 3) for _ in range(5)),
     )
-    assert (p + q).evaluate(w) == p.evaluate(w) + q.evaluate(w)
+    summed = Counter(p.terms)
+    summed.update(q.terms)  # adds coefficients, negative ones too
+    total = WeightPolynomial(summed)
+    assert 0 not in total.terms.values()  # cancelled terms are dropped
+    assert total.evaluate(w) == p.evaluate(w) + q.evaluate(w)
 
 
 def test_polynomial_text():
@@ -225,10 +210,14 @@ def test_packed_print_order_is_the_order_of_sorted_terms(p):
     packed = tag_polynomial(tags, fmt)
     expected = _text_by_sorted_terms(p)
     assert packed.text() == p.text() == expected
-    order = sorted(p.terms, key=_print_key)
-    decoded = [
-        tuple(tuple((int(i), e) for i, e in term[block].items()) for block in "bc")
-        for term in packed.to_json()
-    ]
-    assert decoded == [(mono.b, mono.c) for mono in order]
     assert packed == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys)
+@example(WeightPolynomial({WeightMonomial(): -7}))
+@example(WeightPolynomial())
+def test_json_pieces_are_the_bytes_of_json_dumps(p):
+    # framed as `sscat sswcn --symbolic --format json` frames them
+    framed = '{\n  "k": 0,\n  "n": 0,\n  "polynomial": ' + "".join(p.json_pieces()) + "\n}"
+    assert framed == json_document(0, 0, p)
