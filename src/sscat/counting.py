@@ -12,17 +12,19 @@ so none builds a polynomial; the symbolic entries, the same BFS with
 `weight_step`, are a test oracle.  Runs of fewer than
 `RECURRENCE_FROM` * S terms iterate the orbit gamma_n = T gamma_{n-1},
 one product per nonzero entry of T per step.  Longer runs take the
-orbit's first 2S exact terms, find their minimal recurrence, of order
-d <= S, by Berlekamp-Massey modulo 62-bit primes lifted by the Chinese
-remainder theorem, and prove it over the integers on those 2S terms
-(Cayley-Hamilton bounds the residual's order by S); each further term is
-then one d-term sum.  A recurrence over the integers holds mod every m,
-so a modulus never picks the route: it only reduces the orbit's vectors,
-or the recurrence's head, coefficients and sums.  Every run estimates
-its work up front and refuses it past `BOUNDED_WORK_BUDGET`.  The `*_brute`
-functions, the test oracle, share one loop, `_brute_sum`, that sums
-weights over enumerated paths.  Wherever these routes overlap they agree
-exactly.
+orbit's first 2S exact terms and their minimal recurrence, of order
+d <= S, proved over the integers (`linrec`).  A whole sequence then costs
+one d-term sum per further term; a single count is read from
+x^(n // 2) modulo the recurrence's characteristic polynomial, by
+square-and-multiply, in about log2(n) squarings.  A recurrence over the
+integers holds mod every m, so a modulus never chooses between the orbit
+and the recurrence: it reduces the orbit's vectors, or what the
+recurrence reads.  Every run estimates its work up front and refuses it
+past `BOUNDED_WORK_BUDGET`; a single residue whose squarings, of long
+products mod a long m, are estimated above the d-term sums runs those.
+The `*_brute` functions, the test oracle, share one loop, `_brute_sum`,
+that sums weights over enumerated paths.  Wherever these routes overlap
+they agree exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import islice
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -130,26 +131,40 @@ def _check_cap(k: int, n: int) -> None:
         )
 
 
-# Budget of `sscat enumerate`: the paths it prints, counted before the
-# first write.  On a 2-core VM with Python 3.11 a path takes about 2 us to
-# find and print, so the largest admitted commands, `enumerate 4 5` and
-# `enumerate 5 4` (1.66e6 paths each), take 3.2-3.7 s; `enumerate 2 14`
-# (2.7e6) is refused, and `enumerate 6 6` would print 1.67e15.
-ENUMERATE_PATH_BUDGET = 2**21
+# Budget of `sscat enumerate`, counted before the first write: the steps
+# it prints, paths * kn, plus the coordinates of the points its DFS holds,
+# k for each point on a printed path, at most C(n + k, k) of them.  On a
+# 2-core VM with Python 3.11 a unit took 0.15-0.17 us, so the largest
+# admitted commands, `enumerate 4 5` and `enumerate 5 4` (1.66e6 paths of
+# 20 steps), took 5.1-5.7 s, and `enumerate 5791 1` (one path whose 5,792
+# points hold 3.4e7 coordinates) about 5.4 s and 306 MB.  `enumerate 2 14`
+# (7.5e7 steps) is refused; so is `enumerate 12000 1`, whose points would
+# fill more than 1 GB.
+ENUMERATE_PATH_BUDGET = 2**25
+
+
+def _enumeration_over(k: int, n: int, paths: int) -> bool:
+    """Whether *paths* paths of length kn pass `ENUMERATE_PATH_BUDGET`."""
+    steps = paths * k * n
+    budget = ENUMERATE_PATH_BUDGET
+    return steps > budget or steps + min(steps + 1, math.comb(n + k, k)) * k > budget
 
 
 def _check_enumeration(k: int, n: int, u: Optional[int] = None) -> None:
-    """Raise `TooLargeError` when `enumerate_paths(k, n, u)` yields more than
-    `ENUMERATE_PATH_BUDGET` paths: the Catalan number decides, and under a
-    bound below the largest height, the count of the paths of height <= u."""
-    over = _paths_over(k, n, ENUMERATE_PATH_BUDGET)
+    """Raise `TooLargeError` when `enumerate_paths(k, n, u)` passes
+    `ENUMERATE_PATH_BUDGET`, charged on the Catalan number of paths or,
+    when that passes it under a bound below the largest height, on the
+    count of the paths of height <= u."""
+    over = _paths_over(k, n, ENUMERATE_PATH_BUDGET) or _enumeration_over(
+        k, n, catalan_number(k, n)
+    )
     if over and u is not None and u < max_path_height(k, n):
-        over = bounded_sswcn_dp(k, u, n) > ENUMERATE_PATH_BUDGET
+        over = _enumeration_over(k, n, bounded_sswcn_dp(k, u, n))
     if over:
         bound = "" if u is None else f" of height <= {u}"
         raise TooLargeError(
-            f"(k={k}, n={n}) has more paths{bound} than ENUMERATE_PATH_BUDGET "
-            f"= {ENUMERATE_PATH_BUDGET}"
+            f"(k={k}, n={n}) needs more printed steps and held coordinates for "
+            f"its paths{bound} than ENUMERATE_PATH_BUDGET = {ENUMERATE_PATH_BUDGET}"
         )
 
 
@@ -383,33 +398,6 @@ def _orbit(
 # orbit steps it saves.
 RECURRENCE_FROM = 4
 
-# Berlekamp-Massey runs modulo these primes, the 24 largest below 2^62.
-# A prime that divides a discrepancy finds too short a recurrence; the
-# capacity leaves room for two such primes.
-_PRIMES = tuple(
-    (1 << 62) - d
-    for d in (57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317)
-    + (443, 483, 495, 575, 581, 603, 633, 663, 765, 773, 777, 791)
-)
-_CAPACITY = math.prod(_PRIMES[2:])
-
-# Budget of one bounded run: terms summed per step (the recurrence's
-# order, at most S, or the orbit's nonzeros) times the bits of every count
-# up to n, bounded up front as bits(a_i) <= i * bits(R) + 1, R the largest
-# absolute row sum of the evaluated matrix, or by bits(m) for residues
-# mod m.  `bounded 3 30 16000` estimates 2.9e10 and takes about 5 s on a
-# 2-core VM with Python 3.11; the budget admits n up to about 34,000 there.
-BOUNDED_WORK_BUDGET = 2**37
-
-# The least work a count is charged per term, in term-bits: one product of
-# small integers costs what big-integer sums cost per PRODUCT_BITS bits.
-# Measured at (k, u) = (3, 30) on a 2-core VM with Python 3.11: a
-# recurrence product mod 1000003 took 64-80 ns (166 ns mod 2^61 - 1), and
-# the exact `bounded 3 30 16000` took 124-188 ps per estimated term-bit.
-# The budget admits `bounded 3 30 n --mod 1000003` up to n of about 5.8e6.
-PRODUCT_BITS = 2**9
-
-
 # Budget of `sswcn_lattice_value`: the C(n + k, k) ballot points of the
 # box, k successors each, times what a step costs in big-integer bits: its
 # product of a value by a weight, the value's bits times the weight's
@@ -447,133 +435,101 @@ def _check_lattice_work(k: int, n: int, w: WeightAssignment, modulus: Optional[i
         )
 
 
-def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
-    """The shortest recurrence a_n = q_1 a_{n-1} + ... + q_L a_{n-L} that
-    generates *terms*, residues mod the prime *p*, as [q_1, ..., q_L] mod p
-    (Massey, 1969)."""
-    c, b = [1], [1]  # connection polynomials: now and before the last lengthening
-    length, gap, last = 0, 1, 1
-    for n in range(len(terms)):
-        delta = sum(map(mul, c, terms[n::-1])) % p
-        if delta == 0:
-            gap += 1
-            continue
-        scale = delta * pow(last, -1, p) % p
-        previous = c
-        c = c + [0] * (len(b) + gap - len(c))
-        for i, x in enumerate(b):
-            c[i + gap] = (c[i + gap] - scale * x) % p
-        if 2 * length <= n:
-            length, b, last, gap = n + 1 - length, previous, delta, 1
-        else:
-            gap += 1
-    c += [0] * (length + 1 - len(c))
-    return [-x % p for x in c[1 : length + 1]]
+# Budget of one bounded run, in term-bits, estimated before any step.  A
+# run of every count up to n is charged the terms summed per step (the
+# recurrence's order, at most S, or the orbit's nonzeros) times the bits
+# of every count up to n, bounded up front as bits(a_i) <= i * bits(R) + 1,
+# R the largest absolute row sum of the evaluated matrix, or by bits(m) for
+# residues mod m.  Such runs took 90-230 ps per term-bit on a 2-core VM
+# with Python 3.11, so the budget stands for 10-30 s.  A single exact
+# count is charged the same, though `linrec.term` does 10-20 times less:
+# `bounded 3 30 16000` estimates 2.9e10 and took 0.27 s in-process (3-5 s
+# count by count); the budget admits n up to about 34,000 there.  A single
+# residue on the recurrence route is charged, for each bit of n, 2 S^2
+# products mod m (a squaring and its reduction, d <= S), each
+# PRODUCT_BITS plus bits(m)^2 / 64 for the digits of a long product and
+# its division: measured at 10-380 ps per term-bit for S = 10, 46 and 86
+# and m of 20 to 13,288 bits, 1.2-1.7 times the d-term loop at most.
+# Where the loop's charge is less (a long m and a short run), the loop
+# runs, so a modulus never costs a single count more than the loop did.
+BOUNDED_WORK_BUDGET = 2**37
+
+# The least work a count is charged per product, in term-bits: one product
+# of small integers costs what big-integer sums cost per PRODUCT_BITS bits.
+# Measured at (k, u) = (3, 30) on a 2-core VM with Python 3.11: a d-term
+# loop mod 1000003 took 47-115 ns per product, and the exact loop to
+# `bounded 3 30 16000` 124-188 ps per estimated term-bit.
+PRODUCT_BITS = 2**9
 
 
-def _proves(terms: list[int], size: int, q: list[int]) -> bool:
-    """Whether a_n = q_1 a_{n-1} + ... + q_d a_{n-d} for every n >= d, where
-    *terms* are a_0, ..., a_{2S-1} of the orbit of an S x S matrix T.
+def _plan(
+    k: int, u: int, w: WeightAssignment, modulus: Optional[int], stop: int, single: bool
+) -> tuple[list[list[tuple[int, int]]], str]:
+    """The transfer matrix at the weights *w*, evaluated once, exactly, and
+    the route of the counts a_0, ..., a_{stop-1} (only the last when
+    *single*): "orbit", "loop" (`linrec.iterate`) or "jump" (`linrec.term`).
 
-    The residual r_n = a_n - q_1 a_{n-1} - ... - q_d a_{n-d} (n >= d) is
-    e_0^T P(T) T^(n-d) e_0 for a polynomial P, so the characteristic
-    polynomial of T, of degree S, annihilates it too (Cayley-Hamilton):
-    zero at n = d, ..., d + S - 1, it is zero for every n.  Those indices
-    lie within the terms exactly when d <= S."""
-    d = len(q)
-    return len(terms) >= d + size and all(
-        terms[n] == sum(map(mul, q, reversed(terms[n - d : n])))
-        for n in range(d, len(terms))
-    )
-
-
-def _minimal_recurrence(terms: list[int], size: int) -> list[int]:
-    """The minimal integer recurrence [q_1, ..., q_d] of the counts whose
-    first 2S *terms* are given, proved by `_proves`.
-
-    Berlekamp-Massey modulo each prime of `_PRIMES` in turn only searches:
-    its order never exceeds the true one, so the longest order seen wins,
-    and primes that agree on it are combined by the Chinese remainder
-    theorem into symmetric integer coefficients until those pass the
-    proof.  Running out of primes raises `FormulaViolationError`."""
-    order, modulus, lifted = -1, 1, []
-    for p in _PRIMES:
-        found = _berlekamp_massey([a % p for a in terms], p)
-        if len(found) < order:
-            continue
-        if len(found) > order:
-            order, modulus, lifted = len(found), 1, [0] * len(found)
-        inverse = pow(modulus, -1, p)
-        lifted = [x + modulus * ((r - x) * inverse % p) for x, r in zip(lifted, found)]
-        modulus *= p
-        q = [x - modulus if 2 * x > modulus else x for x in lifted]
-        if _proves(terms, size, q):
-            return q
-    raise FormulaViolationError(
-        f"no recurrence found modulo {len(_PRIMES)} primes is proved on the "
-        f"first {len(terms)} counts (order <= {size})",
-        expected=terms,
-        actual=q,
-    )
-
-
-def _recurrence_counts(
-    rows: list[list[tuple[int, int]]], modulus: Optional[int], stop: int
-) -> Iterator[int]:
-    """The counts a_0, ..., a_{stop-1} (mod *modulus* when given), for
-    stop >= 2S: the first 2S exactly from `_orbit`, the rest from the
-    minimal recurrence they prove over the integers, each one d-term sum
-    over a window of the last d counts.  A modulus reduces the head and
-    the coefficients once, and each sum as it is appended."""
-    size = len(rows)
-    exact = [gamma[0] for gamma in islice(_orbit(rows, None), 2 * size)]
-    head = exact if modulus is None else [a % modulus for a in exact]
-    yield from head
-    q = _minimal_recurrence(exact, size)
-    window = deque(head[-len(q) :], maxlen=len(q))
-    reverse = [c if modulus is None else c % modulus for c in reversed(q)]
-    for _ in range(stop - len(head)):
-        a = sum(map(mul, reverse, window))
-        if modulus is not None:
-            a %= modulus
-        window.append(a)
-        yield a
-
-
-def _counts(
-    k: int, u: int, w: WeightAssignment, modulus: Optional[int], stop: int
-) -> Iterator[int]:
-    """The u-bounded weighted counts a_0, ..., a_{stop-1} (mod *modulus*
-    when given), with T evaluated once, exactly.
-
-    The route depends on the run alone, never on the modulus.  Short runs
-    read component 0 of `_orbit`.  A run of at least RECURRENCE_FROM * S
-    terms takes `_recurrence_counts`, when the primes can hold the
-    recurrence's coefficients: its roots are eigenvalues of T, at most R
-    in absolute value, so no coefficient exceeds (1 + R)^S.  A run whose
-    estimated work passes `BOUNDED_WORK_BUDGET` raises `TooLargeError`
-    before any step."""
+    A run of at least RECURRENCE_FROM * S terms takes the recurrence when
+    the primes can hold its coefficients: its roots are eigenvalues of T,
+    at most R in absolute value, so no coefficient exceeds (1 + R)^S.  A
+    single count on it jumps, unless it is a residue whose jump is charged
+    more than the loop, which then runs.  A run whose estimated work
+    passes `BOUNDED_WORK_BUDGET` raises `TooLargeError`."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     rows = _transfer_matrix(k, u).evaluated(w)
     size = len(rows)
     growth = max(sum(abs(v) for _, v in row) for row in rows)
-    recurrence = stop >= RECURRENCE_FROM * size and 2 * (1 + growth) ** size < _CAPACITY
+    recurrence = stop >= RECURRENCE_FROM * size
+    if recurrence:
+        from .linrec import CAPACITY
+
+        recurrence = 2 * (1 + growth) ** size < CAPACITY
     width = size if recurrence else sum(map(len, rows))
     bits = growth.bit_length() * stop * (stop - 1) // 2 + stop
     if modulus is not None:
         bits = min(bits, modulus.bit_length() * stop)
     work = width * max(bits, PRODUCT_BITS * stop)
+    route = "loop" if recurrence else "orbit"
+    if recurrence and single:
+        route = "jump"
+        if modulus is not None:
+            product = PRODUCT_BITS + modulus.bit_length() ** 2 // 64
+            jump = 2 * size * size * (stop - 1).bit_length() * product
+            route, work = ("jump", jump) if jump < work else ("loop", work)
     if work > BOUNDED_WORK_BUDGET:
-        residues = "" if modulus is None else f" mod {modulus}"
+        residues = "" if modulus is None else f" mod {_shown(modulus)}"
         raise TooLargeError(
-            f"bounded counts for (k={k}, u={u}) up to n={stop - 1}{residues} "
-            f"need an estimated {work} term-bits, over BOUNDED_WORK_BUDGET "
+            f"bounded counts for (k={k}, u={u}) up to n={_shown(stop - 1)}{residues} "
+            f"need an estimated {_shown(work)} term-bits, over BOUNDED_WORK_BUDGET "
             f"= {BOUNDED_WORK_BUDGET}"
         )
-    if recurrence:
-        return _recurrence_counts(rows, modulus, stop)
-    return (gamma[0] for gamma in islice(_orbit(rows, modulus), stop))
+    return rows, route
+
+
+def _shown(x: int) -> str:
+    """*x* in decimal below 10^600, which any digit limit of Python lets
+    print, else as the power of two it reaches."""
+    return str(x) if x.bit_length() < 1993 else f"~2^{x.bit_length() - 1}"
+
+
+def _recurrence_counts(
+    rows: list[list[tuple[int, int]]], modulus: Optional[int], stop: int, jump: bool
+) -> Iterable[int]:
+    """The counts a_0, ..., a_{stop-1} (mod *modulus* when given) of the
+    matrix with the evaluated sparse *rows*, from the minimal recurrence,
+    of order d <= S, that the orbit's first 2S exact counts prove over the
+    integers: every count by `linrec.iterate`, or only the last by
+    `linrec.term` when *jump*.  A recurrence over the integers holds mod
+    every m, so a modulus only reduces what the recurrence reads."""
+    from . import linrec
+
+    size = len(rows)
+    exact = [gamma[0] for gamma in islice(_orbit(rows, None), 2 * size)]
+    q = linrec.minimal_recurrence(exact, size)
+    if jump:
+        return [linrec.term(exact, q, stop - 1, modulus)]
+    return linrec.iterate(exact, q, stop, modulus)
 
 
 def bounded_sswcn_dp(
@@ -584,10 +540,14 @@ def bounded_sswcn_dp(
     modulus: Optional[int] = None,
 ) -> int:
     """The u-bounded weighted count of length k*n (mod *modulus* when
-    given): the last of `_counts` up to n."""
+    given): component 0 of gamma_n on a short run, else the last of
+    `_recurrence_counts`, on the route `_plan` picks."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    return deque(_counts(k, u, w, modulus, n + 1), maxlen=1)[0]
+    rows, route = _plan(k, u, w, modulus, n + 1, single=True)
+    if route == "orbit":
+        return next(islice(_orbit(rows, modulus), n, None))[0]
+    return deque(_recurrence_counts(rows, modulus, n + 1, route == "jump"), maxlen=1)[0]
 
 
 def bounded_sequence(
@@ -598,8 +558,12 @@ def bounded_sequence(
     modulus: Optional[int] = None,
 ) -> list[int]:
     """The u-bounded weighted counts of lengths 0, k, ..., k*(count-1)
-    (mod *modulus* when given), from one pass of `_counts`."""
-    return list(_counts(k, u, w, modulus, count))
+    (mod *modulus* when given): component 0 of the orbit on a short run,
+    else `_recurrence_counts`."""
+    rows, route = _plan(k, u, w, modulus, count, single=False)
+    if route == "orbit":
+        return [gamma[0] for gamma in islice(_orbit(rows, modulus), count)]
+    return list(_recurrence_counts(rows, modulus, count, jump=False))
 
 
 def max_path_height(k: int, n: int) -> int:

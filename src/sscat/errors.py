@@ -34,8 +34,9 @@ class TooLargeError(SscatError):
     oracles and `sswcn_lattice`, the period search's work and table limits,
     the estimated work of a bounded count (`BOUNDED_WORK_BUDGET`), of a
     triangle's rows (`TRIANGLE_WORK_BUDGET`) or of a numeric lattice count
-    (`LATTICE_WORK_BUDGET`), the paths `sscat enumerate` would print
-    (`ENUMERATE_PATH_BUDGET`), or the bits of (kn)! in a Catalan number
+    (`LATTICE_WORK_BUDGET`), the steps `sscat enumerate` would print and
+    the coordinates it would hold (`ENUMERATE_PATH_BUDGET`), or the bits of
+    (kn)! in a Catalan number
     (`CATALAN_BITS_BUDGET`)."""
 
 

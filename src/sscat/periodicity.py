@@ -184,9 +184,16 @@ def _cycle_length(
             steps > PERIOD_TABLE_LIMIT
             or (steps + size) * size * size > PERIOD_SEARCH_BUDGET
         ):
+            bound = (
+                f"PERIOD_TABLE_LIMIT = {PERIOD_TABLE_LIMIT} baby steps"
+                if steps > PERIOD_TABLE_LIMIT
+                else f"PERIOD_SEARCH_BUDGET = {PERIOD_SEARCH_BUDGET} multiply-adds"
+            )
+            # the rounds before r covered every omega up to (B / 2)^2
+            searched = f"no vector period up to {(steps // 2) ** 2}" if r else "no round fits"
             raise TooLargeError(
-                f"period search for (k={k}, u={u}, m={m}) stopped at its budget: "
-                f"no vector period up to {(steps // 2) ** 2} among {size} states"
+                f"period search for (k={k}, u={u}, m={m}) stopped at its budget, "
+                f"{bound}, among {size} states: {searched}"
             )
         while len(baby) < steps:
             z = _apply(rows, z, m)

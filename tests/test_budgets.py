@@ -3,6 +3,7 @@ memory: one table of argv that once ran for many seconds or out of memory,
 each run as the CLI in a child process under a 1 GiB address-space limit."""
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -30,14 +31,44 @@ CASES = [
     ("count 100000 0", 0),
     # the weight step makes one power of 256 per step, not a table of them
     ("sswcn 300 1 --symbolic", 0),
+    # one path whose points, 12,001 tuples of 12,000 coordinates, would
+    # fill more than the 1 GiB limit
+    ("enumerate 12000 1", 2),
+    # single counts from x^(n // 2) modulo the proved recurrence
+    ("bounded 3 30 16000", 0),
+    ("bounded 3 30 5000000 --mod 1000003", 0),
+    ("bounded 3 30 100000000 --mod 1000003", 0),
+    # a short run mod a long m is charged no more than its d-term loop
+    (f"bounded 3 30 2048 --mod {10**4000 + 1}", 0),
+    # a binding bound leaves one path of the 2,674,440
+    ("enumerate 2 14 --bound 1", 0),
 ]
+# A single residue is charged 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
+# of n, 2 * 46^2 * (512 + 1806) for n of 14,000 bits mod an m of 340 bits:
+# just inside the budget, and one bit more of m is just outside.  Weights
+# that vanish above height 2 keep these walks low, so the recurrence has
+# order 2, not 46, and the run inside ends at once.
+CASES += [
+    (f"bounded 3 30 {2**13999} --mod {2**339 + 1} --b 1,1,1,fill=0", 0),
+    (f"bounded 3 30 {2**13999} --mod {2**340 + 1} --b 1,1,1,fill=0", 2),
+]
+
+
+def _case_id(command):
+    """*command* with each number of 30 digits or more abbreviated."""
+
+    def abbreviated(number):
+        digits = number.group()
+        return f"{digits[:6]}...{digits[-4:]}({len(digits)} digits)"
+
+    return re.sub(r"\d{30,}", abbreviated, command)
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("command, code", CASES, ids=[c for c, _ in CASES])
+@pytest.mark.parametrize("command, code", CASES, ids=[_case_id(c) for c, _ in CASES])
 def test_command_ends_in_an_answer_or_a_refusal(command, code):
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)

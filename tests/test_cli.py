@@ -251,7 +251,6 @@ def test_closed_stdout_ends_quietly(argv, read):
         pytest.param(argv, budget, id=" ".join(argv))
         for argv, budget in (
             (["bounded", "3", "30", "1000000"], b"BOUNDED_WORK_BUDGET"),
-            (["bounded", "3", "30", "100000000", "--mod", "1000003"], b"BOUNDED_WORK_BUDGET"),
             (["triangle", "height", "6", "--rows", "12"], b"TRIANGLE_WORK_BUDGET"),
             (["triangle", "height", "2", "--rows", "126"], b"TRIANGLE_WORK_BUDGET"),
             (["sswcn", "3", "3000"], b"LATTICE_WORK_BUDGET"),
@@ -262,6 +261,14 @@ def test_closed_stdout_ends_quietly(argv, read):
                 ["oeis-check", "A001246", "rightmost:4", "--offline", "--terms", "21"],
                 b"TRIANGLE_WORK_BUDGET",
             ),
+        )
+    ]
+    + [
+        # a single residue is charged per bit of n, and more for a long m
+        pytest.param(
+            ["bounded", "3", "30", str(2**13999), "--mod", str(2**340)],
+            b"BOUNDED_WORK_BUDGET",
+            id="bounded 3 30 2^13999 --mod 2^340",
         )
     ],
 )

@@ -27,10 +27,11 @@ from sscat import (
     sswt,
     sub_sswcn_brute,
 )
-from sscat import counting
+from sscat import counting, linrec
 from sscat.counting import _transfer_matrix
 from sscat.errors import InvalidPathError
 from sscat.paths import StepKind, lattice_sum
+from sscat.periodicity import detect_eventual_period
 from tests.conftest import random_assignment
 
 
@@ -130,18 +131,29 @@ def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
 def test_enumeration_budget_counts_the_paths_up_front():
     budget = counting.ENUMERATE_PATH_BUDGET
     for k, n in ((4, 4), (3, 7), (4, 5), (5, 4), (2, 13)):
-        assert catalan_number(k, n) <= budget
+        assert catalan_number(k, n) * k * n <= budget
         counting._check_enumeration(k, n)
     for k, n, u in ((2, 14, None), (6, 6, None), (3, 8, 100), (3, 40, 4)):
         with pytest.raises(TooLargeError, match="ENUMERATE_PATH_BUDGET"):
             counting._check_enumeration(k, n, u)
     # A bound below the largest height counts only the paths under it.
-    assert catalan_number(6, 6) > budget >= bounded_sswcn_dp(6, 9, 6)
+    assert catalan_number(6, 6) > budget >= bounded_sswcn_dp(6, 9, 6) * 36
     counting._check_enumeration(6, 6, 9)
-    assert bounded_sswcn_dp(3, 4, 10) <= budget < bounded_sswcn_dp(3, 4, 11)
+    assert bounded_sswcn_dp(3, 4, 10) * 30 <= budget < bounded_sswcn_dp(3, 4, 11) * 33
     counting._check_enumeration(3, 10, 4)
+    # and so does a Catalan number inside ENUMERATE_PATH_BUDGET whose
+    # steps are not: C_14 = 2,674,440 paths of 28 steps, but one of height 1
+    assert catalan_number(2, 14) <= budget < catalan_number(2, 14) * 28
+    for k, n, u in ((2, 14, 1), (2, 15, 2), (3, 8, 2)):
+        counting._check_enumeration(k, n, u)
     with pytest.raises(TooLargeError, match="of height <= 4 than ENUMERATE_PATH_BUDGET"):
         counting._check_enumeration(3, 11, 4)
+    # One path of K steps holds K + 1 points of K coordinates each: the
+    # budget admits K = 5791 (33,547,263 steps and coordinates), not 5792.
+    counting._check_enumeration(5791, 1)
+    for k in (5792, 12000):
+        with pytest.raises(TooLargeError, match="ENUMERATE_PATH_BUDGET"):
+            counting._check_enumeration(k, 1)
 
 
 def test_state_space_3_5_golden():
@@ -314,15 +326,15 @@ RECURRENCE_SIZES = ((3, 12), (3, 20), (3, 30), (4, 24), (5, 20), (5, 30))
 
 @pytest.fixture
 def recurrences(monkeypatch):
-    """Every recurrence `_minimal_recurrence` returns, in call order."""
+    """Every recurrence `linrec.minimal_recurrence` returns, in call order."""
     found = []
-    search = counting._minimal_recurrence
+    search = linrec.minimal_recurrence
 
     def recorded(terms, size):
         found.append(search(terms, size))
         return found[-1]
 
-    monkeypatch.setattr(counting, "_minimal_recurrence", recorded)
+    monkeypatch.setattr(linrec, "minimal_recurrence", recorded)
     return found
 
 
@@ -339,10 +351,12 @@ def test_recurrence_route_matches_the_orbit_for_every_small_n(k, u, recurrences)
         recurrences.clear()
         assert bounded_sequence(k, u, 201, w, m) == expected, (w, m)
         assert bounded_sequence(k, u, threshold - 1, w, m) == expected[: threshold - 1], (w, m)
-        for n in (threshold - 2, threshold - 1, 200):
+        # single terms: the orbit below 4S terms, then x^(n // 2) mod Q,
+        # at odd and even n
+        for n in (threshold - 2, threshold - 1, threshold, threshold + 1, 199, 200):
             assert bounded_sswcn_dp(k, u, n, w, m) == expected[n], (w, m, n)
         # the recurrence answers exactly the runs of at least 4S terms
-        assert len(recurrences) == 3, (w, m)
+        assert len(recurrences) == 6, (w, m)
         if w is zero_fill:
             # the minimal polynomial has an x^j factor
             assert all(q[-1] == 0 for q in recurrences)
@@ -387,10 +401,10 @@ def test_large_n_exact_counts_match_the_bounded_lattice_mod_primes(k, u, n, recu
 def test_the_proof_rejects_a_wrong_or_unprovable_recurrence(monkeypatch):
     size = len(build_state_space(3, 30))
     terms = orbit_counts(3, 30, ALL_ONES, 2 * size)
-    q = counting._minimal_recurrence(terms, size)
-    assert len(q) == size and counting._proves(terms, size, q)
+    q = linrec.minimal_recurrence(terms, size)
+    assert len(q) == size and linrec.proves(terms, size, q)
     perturbed = q[:7] + [q[7] + 1] + q[8:]
-    assert not counting._proves(terms, size, perturbed)
+    assert not linrec.proves(terms, size, perturbed)
     # times (x - 1): a true recurrence of every term, but of order S + 1,
     # which 2S terms cannot prove
     poly = [1] + [-c for c in q] + [0]
@@ -399,9 +413,9 @@ def test_the_proof_rejects_a_wrong_or_unprovable_recurrence(monkeypatch):
         terms[n] == sum(c * terms[n - i] for i, c in enumerate(longer, 1))
         for n in range(size + 1, len(terms))
     )
-    assert not counting._proves(terms, size, longer)
+    assert not linrec.proves(terms, size, longer)
     for wrong in (perturbed, longer):
-        monkeypatch.setattr(counting, "_berlekamp_massey", lambda terms, p: [c % p for c in wrong])
+        monkeypatch.setattr(linrec, "berlekamp_massey", lambda terms, p: [c % p for c in wrong])
         with pytest.raises(FormulaViolationError):
             bounded_sswcn_dp(3, 30, 300)
 
@@ -409,7 +423,7 @@ def test_the_proof_rejects_a_wrong_or_unprovable_recurrence(monkeypatch):
 def test_an_unlucky_prime_does_not_derail_the_search(monkeypatch):
     # a prime that divides a discrepancy finds too short a recurrence;
     # simulate one first and one after the true order is known
-    search = counting._berlekamp_massey
+    search = linrec.berlekamp_massey
     calls = []
 
     def unlucky(terms, p):
@@ -417,7 +431,7 @@ def test_an_unlucky_prime_does_not_derail_the_search(monkeypatch):
         found = search(terms, p)
         return found[:-1] if len(calls) in (1, 3) else found
 
-    monkeypatch.setattr(counting, "_berlekamp_massey", unlucky)
+    monkeypatch.setattr(linrec, "berlekamp_massey", unlucky)
     assert bounded_sswcn_dp(3, 30, 300) == orbit_counts(3, 30, ALL_ONES, 301)[-1]
     assert len(calls) >= 4
 
@@ -427,16 +441,116 @@ def test_exact_bounded_work_budget():
         lambda: bounded_sswcn_dp(3, 30, 10**6),
         lambda: bounded_sequence(3, 30, 10**6 + 1),
         lambda: bounded_sswcn_dp(3, 12, 10**5, WeightAssignment((), 10**20)),
-        # residues: each product is charged at least PRODUCT_BITS
-        lambda: bounded_sswcn_dp(3, 30, 10**8, modulus=1000003),
+        # a single residue: 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
+        # of n, 2 * 46^2 * (512 + 6) at (3, 30) mod 1000003, so n of 62,696
+        # bits is just outside; 2 * 10^2 * 512 at (3, 12) mod 1, 1,342,178
+        lambda: bounded_sswcn_dp(3, 30, 2**62695, modulus=1000003),
         lambda: bounded_sequence(3, 30, 10**7, modulus=2**61 - 1),
-        lambda: bounded_sswcn_dp(3, 12, 10**9, modulus=1),
+        lambda: bounded_sswcn_dp(3, 12, 2**1342177, modulus=1),
         # and so are exact counts that never grow
         lambda: bounded_sswcn_dp(3, 30, 10**8, WeightAssignment((), 0)),
     ):
         with pytest.raises(TooLargeError, match="BOUNDED_WORK_BUDGET"):
             call()
     # the estimate is made before any step: `bounded 3 30 16000` stays in,
-    # and so do its residues up to n = 5 * 10**6
-    counting._counts(3, 30, ALL_ONES, None, 16001)
-    counting._counts(3, 30, ALL_ONES, 1000003, 5 * 10**6 + 1)
+    # so do its residues up to n = 5 * 10**6 as a sequence, and single
+    # residues one bit short of the cases above
+    counting._plan(3, 30, ALL_ONES, None, 16001, single=True)
+    counting._plan(3, 30, ALL_ONES, 1000003, 5 * 10**6 + 1, single=False)
+    counting._plan(3, 30, ALL_ONES, 1000003, 2**62695, single=True)
+    counting._plan(3, 12, ALL_ONES, 1, 2**1342177, single=True)
+
+
+def test_a_single_residue_is_charged_its_cheaper_recurrence_route():
+    def route(m, stop, single=True):
+        return counting._plan(3, 30, ALL_ONES, m, stop, single)[1]
+
+    assert route(None, 2001) == route(1000003, 2001) == "jump"
+    assert route(1000003, 2001, single=False) == route(None, 2001, single=False) == "loop"
+    assert route(1000003, 4 * 46 - 1) == "orbit"
+    # the squarings mod an m of 13,288 bits are charged 1.3e11 term-bits,
+    # past the budget; the d-term loop to n = 2048 less, and it runs
+    m = 10**4000 + 1
+    assert route(m, 2049) == "loop"
+    assert bounded_sswcn_dp(3, 30, 2048, modulus=m) == bounded_sswcn_dp(3, 30, 2048) % m
+
+
+def hankel_cases():
+    """(k, u, w, head, q) for small matrices, weights with zeros and
+    negative values among them."""
+    weights = (
+        ALL_ONES,
+        WeightAssignment((2, -1, 0, 3), 1, (1, -2, 2), 0),
+        WeightAssignment((1, 1, 0), 1, (3,), -1),
+        WeightAssignment((), 0),
+    )
+    for k, u in ((2, 6), (3, 4), (3, 12), (3, 20), (4, 24), (5, 20)):
+        for w in weights:
+            rows = _transfer_matrix(k, u).evaluated(w)
+            head = [gamma[0] for gamma in islice(counting._orbit(rows, None), 2 * len(rows))]
+            yield k, u, w, head, linrec.minimal_recurrence(head, len(rows))
+
+
+@pytest.mark.parametrize(
+    "m",
+    (None, 1, 12, 1000003, 2**61 - 1, 10**400 + 1),
+    ids=("None", "1", "12", "1000003", "2^61-1", "10^400+1"),
+)
+def test_single_terms_match_the_recurrence_loop_at_every_n(m):
+    # x^(n // 2) mod Q and the Hankel form, and the d-term sums mod m,
+    # against the exact d-term sums reduced mod m, at every n up to 8S + 2,
+    # from the same head and recurrence
+    for k, u, w, head, q in hankel_cases():
+        size = len(head) // 2
+        loop = list(linrec.iterate(head, q, 8 * size + 3))
+        if m is not None:
+            loop = [a % m for a in loop]
+            assert list(linrec.iterate(head, q, len(loop), m)) == loop, (k, u, w)
+        assert [linrec.term(head, q, n, m) for n in range(len(loop))] == loop, (k, u, w)
+
+
+# (k, u, w, m) whose period mod m is short: (t, omega) from the powers of T
+# and one period of the orbit check single terms at any n without the
+# recurrence.  Their omega: 2232, 1365, 2730, 210, 5208, 1022, 23.
+PERIOD_CASES = (
+    (3, 12, ALL_ONES, 5),
+    (3, 20, ALL_ONES, 2),
+    (3, 20, ALL_ONES, 12),
+    (3, 12, WeightAssignment((1, 1, 0), 1, (3,), -1), 12),
+    (5, 20, ALL_ONES, 5),
+    (5, 20, WeightAssignment((1, 1, 0), 1, (3,), -1), 12),
+    (2, 6, ALL_ONES, 47),
+)
+
+
+def period_oracle(k, u, w, m, n):
+    """a_n mod m by the eventual period of the orbit, which reads the
+    powers of T and never the recurrence."""
+    report = detect_eventual_period(k, u, w, m)
+    t, omega = report.preperiod, report.vector_period
+    counts = orbit_counts(k, u, w, t + omega, m)
+    return counts[n] if n < t else counts[t + (n - t) % omega]
+
+
+@pytest.mark.parametrize("n", (10**18, 10**18 + 1))
+def test_single_residues_at_huge_n_match_the_eventual_period(n):
+    for k, u, w, m in PERIOD_CASES:
+        assert bounded_sswcn_dp(k, u, n, w, m) == period_oracle(k, u, w, m, n), (k, u, w, m)
+
+
+def test_a_wrong_recurrence_coefficient_changes_the_single_term(monkeypatch):
+    # negative control for the oracle above: with one coefficient of Q off
+    # by one, a_n or a_(n+1) at n = 10^18 must show it
+    search = linrec.minimal_recurrence
+
+    def perturbed(terms, size):
+        q = search(terms, size)
+        return q[:-1] + [q[-1] + 1]
+
+    monkeypatch.setattr(linrec, "minimal_recurrence", perturbed)
+    for k, u, w, m in PERIOD_CASES:
+        pairs = [
+            (bounded_sswcn_dp(k, u, n, w, m), period_oracle(k, u, w, m, n))
+            for n in (10**18, 10**18 + 1)
+        ]
+        assert any(got != expected for got, expected in pairs), (k, u, w, m)

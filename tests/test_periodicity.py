@@ -21,7 +21,7 @@ from sscat import (
     sswcn_lattice_value,
     unbounded_sswcn_mod,
 )
-from sscat import counting
+from sscat import linrec, periodicity
 from sscat.cli import main
 from sscat.counting import _transfer_matrix
 from tests.conftest import random_assignment
@@ -208,11 +208,12 @@ def test_period_3_8_mod_101_certified_by_dense_powers():
 def test_period_search_budget_exits_2():
     # 77 states pass the work budget; one state and a period beyond 2^32
     # pass the baby-step table
-    for argv, name in (
-        (["3", "40", "--mod", "5"], "(k=3, u=40, m=5)"),
+    for argv, name, bound in (
+        (["3", "40", "--mod", "5"], "(k=3, u=40, m=5)", "PERIOD_SEARCH_BUDGET"),
         (
             ["3", "2", "--mod", "1000000000000037", "--b", "3,fill=3"],
             "(k=3, u=2, m=1000000000000037)",
+            "PERIOD_TABLE_LIMIT",
         ),
     ):
         out, err = io.StringIO(), io.StringIO()
@@ -221,6 +222,21 @@ def test_period_search_budget_exits_2():
         assert code == 2 and not out.getvalue()
         assert err.getvalue().startswith(f"error: period search for {name}")
         assert "stopped at its budget" in err.getvalue()
+        assert bound in err.getvalue()
+
+
+def test_a_first_round_past_the_budget_names_it(monkeypatch):
+    # (3, 12) has 10 states: round 0 costs (1 + 10) * 10^2 multiply-adds
+    monkeypatch.setattr(periodicity, "PERIOD_SEARCH_BUDGET", 1099)
+    with pytest.raises(TooLargeError) as caught:
+        detect_eventual_period(3, 12, m=5)
+    message = str(caught.value)
+    assert "PERIOD_SEARCH_BUDGET = 1099" in message and "among 10 states" in message
+    assert "no round fits" in message and "up to 0" not in message
+    # round 0 fits and finds no omega <= 1; round 1 costs (2 + 10) * 10^2
+    monkeypatch.setattr(periodicity, "PERIOD_SEARCH_BUDGET", 1100)
+    with pytest.raises(TooLargeError, match="among 10 states: no vector period up to 1$"):
+        detect_eventual_period(3, 12, m=5)
 
 
 def test_detect_report_json():
@@ -317,13 +333,13 @@ def test_unbounded_mod_random_assignments_satisfying_entrywise(monkeypatch):
     # the truncation theorem at n >= 4S, where the bounded count takes the
     # recurrence route; the lattice DP covers the whole box, never T
     searches = []
-    search = counting._minimal_recurrence
+    search = linrec.minimal_recurrence
 
     def recorded(terms, size):
         searches.append(size)
         return search(terms, size)
 
-    monkeypatch.setattr(counting, "_minimal_recurrence", recorded)
+    monkeypatch.setattr(linrec, "minimal_recurrence", recorded)
     cut = broken_differs = 0
     hypotheses = (("entrywise", "b", 1), ("entrywise", "c", 2), ("pairwise-product", "b", None))
     for kind, sequence, condition in hypotheses * 5:

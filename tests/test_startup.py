@@ -66,6 +66,8 @@ def test_a_command_loads_only_what_it_runs(argv):
     loaded = _modules_after(f"from sscat.cli import main\nmain({json.dumps(argv)})")
     assert "sscat.counting" in loaded
     assert not loaded & UNUSED, sorted(loaded & UNUSED)
+    # only the recurrence route loads the module of linear recurrences
+    assert ("sscat.linrec" in loaded) == (argv[0] == "bounded"), argv
 
 
 def test_every_export_is_its_defining_module_attribute():
