@@ -210,24 +210,42 @@ def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
 # Lattice DP over the ballot points of the box.
 
 
+# Budget of `sswcn_lattice`, in bytes of packed tags, charged before the
+# walk: the C(n + k, k) ballot points of the box times the 2H slots of w
+# bytes in each tag, for H the largest height plus 1.  It binds where few
+# paths carry wide tags, at n = 1 and large k, where printing decodes every
+# slot of each tag: on a 2-core VM with Python 3.11, `sswcn 644 1
+# --symbolic`, the largest k admitted at n = 1 (2.6e8 bytes), takes about
+# 4.6 s, `sswcn 700 1 --symbolic` (3.4e8) took 6.6 s, and `sswcn 1000 1
+# --symbolic` (1.0e9) ran past 20 s.
+SYMBOLIC_TAG_BUDGET = 2**28
+
+
 def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of length
     k*n, restricted to height <= u when *u* is given, as a symbolic
     polynomial, by the layered DP with `weight_step` on packed tags, which
     the polynomial keeps.
 
-    Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`.
+    Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`,
+    and so does a walk whose tags pass `SYMBOLIC_TAG_BUDGET`.
     Each path gives one monomial, so the path count bounds the terms; the
     measured ratio is 0.2-0.7 for k >= 4 ((4, 5): 333,851 terms from
     1,662,804 paths) and far lower for k = 2 ((2, 20): 524,288 terms from
     6.6e9 paths).  On a 2-core VM with Python 3.11, `sswcn 4 5 --symbolic`
-    takes about 5 s and 140 MB.  Bounded calls are not refused:
+    takes about 5 s and 140 MB.  Bounded calls skip the path cap:
     `verify_min_u_formulas` asks for the two smallest bounds, where the sum
     has a single term."""
     if u is None:
         _check_cap(k, n)
     top = max_path_height(k, n) if u is None else min(u, max_path_height(k, n))
     fmt = TagFormat.for_walk(max(top, -1) + 1, k * n)
+    tag_bytes = math.comb(n + k, k) * 2 * fmt.heights * fmt.width
+    if tag_bytes > SYMBOLIC_TAG_BUDGET:
+        raise TooLargeError(
+            f"the symbolic walk at (k={k}, n={n}) carries {tag_bytes} bytes of tags, "
+            f"more than SYMBOLIC_TAG_BUDGET = {SYMBOLIC_TAG_BUDGET}"
+        )
     return tag_polynomial(lattice_sum(k, n, {0: 1}, weight_step(fmt), height_bound=u), fmt)
 
 

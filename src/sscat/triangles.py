@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 from . import backend
 from .counting import (
+    _value_step,
     bounded_sequence,
     catalan_number,
     max_path_height,
@@ -28,7 +29,7 @@ from .counting import (
 )
 from .errors import FormulaViolationError, InvalidDimensionError, TooLargeError
 from .paths import lattice_sum
-from .weights import WeightAssignment, WeightMonomial, WeightPolynomial
+from .weights import ALL_ONES, WeightAssignment, WeightMonomial, WeightPolynomial
 
 HEIGHT_TRIANGLE = "height"
 NARAYANA_TRIANGLE = "narayana"
@@ -400,14 +401,26 @@ def verify_narayana_one_peak(k: int, n: int) -> VerificationRecord:
 
 def scan_power_of_two(k_max: int, u_max: int, n_max: int) -> list[tuple[int, int]]:
     """Small-(k, u) scan for bounds where the bounded count looks like
-    2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim."""
+    2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim.
+
+    Each (k, u) is dropped at the first of its counts c_1 and c_2 (those
+    with n <= n_max) that is not 2^(n-1), read from the height-bounded
+    lattice walk; only the survivors build a transfer matrix, under its
+    budget, for the whole sequence."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     powers = [2 ** (n - 1) for n in range(1, n_max + 1)]
+    first = range(1, min(n_max, 2) + 1)
+    step = _value_step(ALL_ONES, None)
     hits = []
     for k in range(2, k_max + 1):
+        if min_path_height(k) > u_max:  # and so for every larger k
+            break
         for u in range(min_path_height(k), u_max + 1):
-            if bounded_sequence(k, u, n_max + 1)[1:] == powers:
+            if all(
+                lattice_sum(k, n, {None: 1}, step, height_bound=u).get(None, 0) == powers[n - 1]
+                for n in first
+            ) and bounded_sequence(k, u, n_max + 1)[1:] == powers:
                 hits.append((k, u))
     return hits
 

@@ -14,13 +14,17 @@ import pytest
 from sscat import bounded_sequence, bounded_sswcn_dp, catalan_number, cli, max_path_height
 from sscat.paths import lattice_sum
 
-# The hits of `scan-pow2` for k <= 9; k = 10 has none up to u = 40.
+# The hits of `scan-pow2` for k <= 9; k = 10 to 14 have none up to u = 80.
 POW2_HITS = [(2, 2), (4, 6), (5, 8), (5, 9), (6, 10), (6, 11), (6, 12)]
 POW2_HITS += [(7, 12), (7, 13), (7, 14), (7, 15), (8, 16), (8, 17), (8, 18), (9, 20), (9, 21)]
 
 CASES = [
     ("bounded 8 60 300", 0),
     ("scan-pow2 --k-max 10 --u-max 40", 0),
+    # each (k, u) is dropped by its first counts before any transfer matrix
+    ("scan-pow2 --k-max 14 --u-max 80", 0),
+    # no k past 17 has a path of height <= 80
+    ("scan-pow2 --k-max 1000000000 --u-max 80", 0),
     ("enumerate 6 10 --bound 45", 2),
     ("sswcn 3 3000", 2),
     ("sswcn 6 40", 2),
@@ -31,6 +35,8 @@ CASES = [
     ("count 100000 0", 0),
     # the weight step makes one power of 256 per step, not a table of them
     ("sswcn 300 1 --symbolic", 0),
+    # one path, but 1,001 tags of 1 MB each, whose printing decodes every slot
+    ("sswcn 1000 1 --symbolic", 2),
     # one path whose points, 12,001 tuples of 12,000 coordinates, would
     # fill more than the 1 GiB limit
     ("enumerate 12000 1", 2),

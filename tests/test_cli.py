@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -28,7 +29,22 @@ from sscat import (
     triangles,
     weights,
 )
-from sscat.cli import _decimal_text, _parse_weight_sequence, main
+from sscat.cli import (
+    FORMATS,
+    _cmd_bounded,
+    _cmd_count,
+    _cmd_enumerate,
+    _cmd_oeis_check,
+    _cmd_period,
+    _cmd_scan_pow2,
+    _cmd_sswcn,
+    _cmd_syt,
+    _cmd_triangle,
+    _cmd_verify,
+    _decimal_text,
+    _parse_weight_sequence,
+    main,
+)
 from tests.conftest import json_document
 
 
@@ -52,13 +68,11 @@ def test_parse_weight_sequence():
     assert _parse_weight_sequence("1,0,2") == ((1, 0, 2), 1)
     assert _parse_weight_sequence("1,0,2,fill=0") == ((1, 0, 2), 0)
     assert _parse_weight_sequence("fill=-3") == ((), -3)
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError):
         _parse_weight_sequence("fill=2,1")
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError):
         _parse_weight_sequence("1,x")
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError):
         _parse_weight_sequence("fill=x")
 
 
@@ -644,3 +658,222 @@ def test_every_command_exits_0_or_2(tmp_path_factory, argv):
     assert code in (0, 2), (argv, code, err.getvalue())
     if code == 2:
         assert not out.getvalue() and "error" in err.getvalue(), argv
+
+
+# The argparse grammar the CLI once used, kept as it was: the oracle of
+# `cli.parse_args`.
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sscat",
+        description="k-dimensional semisymmetric weighted Catalan numbers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, help, formats):
+        # argparse refuses a format the subcommand cannot print before any
+        # work starts.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=formats, default="plain")
+        return p
+
+    # csv only where the answer is a table or one record of scalars
+    no_csv = ("plain", "json")
+
+    def add_weights(p):
+        # An absent option reads as None, and a malformed one is a usage
+        # error (exit 2).
+        for name, example in (("--b", "1,0,2,fill=0"), ("--c", "1,1,fill=1")):
+            p.add_argument(
+                name, type=_parse_weight_sequence, help=f"{name[2:]} weights, e.g. {example}"
+            )
+
+    p = add("enumerate", _cmd_enumerate, "list balanced ballot paths", FORMATS)
+    p.add_argument("k", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("--bound", type=int, default=None, help="height bound u")
+
+    p = add("count", _cmd_count, "k-dimensional Catalan number", FORMATS)
+    p.add_argument("k", type=int)
+    p.add_argument("n", type=int)
+
+    p = add(
+        "bounded", _cmd_bounded, "u-bounded weighted count via the transfer matrix", FORMATS
+    )
+    p.add_argument("k", type=int)
+    p.add_argument("u", type=int)
+    p.add_argument("n", type=int)
+    add_weights(p)
+    p.add_argument("--mod", type=int, default=None)
+
+    p = add("sswcn", _cmd_sswcn, "unbounded weighted count (lattice DP)", FORMATS)
+    p.add_argument("k", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("--symbolic", action="store_true", help="print the polynomial")
+    add_weights(p)
+
+    p = add("triangle", _cmd_triangle, "height or Narayana triangle rows", FORMATS)
+    p.add_argument("kind", choices=("height", "narayana"))
+    p.add_argument("k", type=int)
+    p.add_argument("--rows", type=int, required=True, help="largest n")
+
+    p = add("period", _cmd_period, "eventual period of the bounded count mod m", no_csv)
+    p.add_argument("k", type=int)
+    p.add_argument("u", type=int)
+    p.add_argument("--mod", type=int, required=True)
+    add_weights(p)
+
+    p = add("verify", _cmd_verify, "run closed-formula verifiers", no_csv)
+    p.add_argument(
+        "name",
+        nargs="?",
+        default="all",
+        help="a verifier family, or 'all'; an unknown name lists them",
+    )
+
+    p = add("oeis-check", _cmd_oeis_check, "compare a generator against an OEIS b-file", no_csv)
+    p.add_argument("id", help="A-number, e.g. A015448")
+    p.add_argument("generator", help="catalan:k | bounded:k,u | dprime-3-2n | rightmost:k")
+    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--offline", action="store_true")
+    p.add_argument("--cache-dir", default=None)
+
+    p = add("syt", _cmd_syt, "standard Young tableau operations", no_csv)
+    p.add_argument("action", choices=("path-to-tableau", "tableau-to-path", "tally"))
+    p.add_argument("value", help="steps '1,1,2,...' or rows '1,2/3,4'")
+    p.add_argument("--k", type=int, default=None, help="dimension for path input")
+
+    p = add(
+        "scan-pow2", _cmd_scan_pow2, "scan (k,u) for bounded counts equal to 2^(n-1)", no_csv
+    )
+    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--u-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=6)
+
+    return parser
+
+
+ORACLE = build_parser()
+
+
+def _parsed(parse, argv):
+    """vars() of what *parse* makes of *argv*, or the exit code it raises
+    (0 for help, 2 for a usage error); its output is dropped."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _option_groups(argv):
+    """The tokens after the command of an `ARGV` draw, split into option
+    groups (an option and its value, or a flag) and positionals."""
+    flags = {"--symbolic", "--offline"}
+    groups, positionals = [], []
+    rest = list(argv[1:])
+    while rest:
+        token = rest.pop(0)
+        if not token.startswith("--"):
+            positionals.append(token)
+        elif "=" in token or token in flags:
+            groups.append([token])
+        else:
+            groups.append([token, *rest[:1]])
+            del rest[:1]
+    return groups, positionals
+
+
+@st.composite
+def _respelled(draw, argv):
+    """*argv* with the spellings the `ARGV` grammar lacks: a value after
+    '=' or as the next token, options abbreviated, repeated and moved
+    among the positionals, '--' before the positionals, a help flag, and
+    now and then one word left out."""
+    groups, positionals = _option_groups(argv)
+    spelled = []
+    for group in groups:
+        name, eq, value = group[0].partition("=")
+        if eq or len(group) == 2:
+            value = value if eq else group[1]
+            group = [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+        if draw(st.booleans()):
+            prefix = name[: draw(st.integers(3, len(name)))]
+            group = [prefix + group[0][len(name) :], *group[1:]]
+        spelled.append(group)
+    if spelled and draw(st.booleans()):
+        spelled.append(draw(st.sampled_from(spelled)))
+    # each option group goes before the positional at its drawn index
+    places = draw(st.lists(st.integers(0, len(positionals)), min_size=len(spelled), max_size=len(spelled)))
+    tokens = [argv[0]]
+    for i, positional in enumerate([*positionals, None]):
+        for place, group in zip(places, spelled):
+            if place == i:
+                tokens += group
+        if positional is not None:
+            if i == 0 and draw(st.booleans()):
+                tokens.append("--")
+            tokens.append(positional)
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(("-h", "--help", "--he")))
+        tokens.insert(draw(st.integers(0, len(tokens))), flag)
+    if draw(st.integers(0, 3)) == 0:  # one word short
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return tuple(tokens)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(ARGV, ARGV.flatmap(_respelled)))
+@example(("bounded", "3", "4", "10", "--b", "1,2"))
+@example(("bounded", "--mod", "7", "3", "4", "10", "--b=1,2"))
+@example(("sswcn", "3", "2", "--sym", "--sym"))
+@example(("scan-pow2", "--k-m", "4", "--k-max", "5", "--n", "2"))
+@example(("count", "--", "2", "1"))
+@example(("count", "2", "1", "--"))
+@example(("verify", "--", "--"))
+@example(("count", "2", "--", "--format", "json"))
+@example(("count", "-5\n", "1"))
+@example(("count", "--foo", "-h"))
+@example(("count", "x", "-h"))
+@example(("--foo", "count", "--he"))
+@example(("--h",))
+@example(())
+@example(("count", "2"))
+@example(("triangle", "height", "3"))
+@example(("--foo", "count", "2", "1"))
+@example(("count", "2", "1", "--=plain"))
+@example(("count", "2", "1", "-hx"))
+@example(("count", "2", "1", "--=x"))
+@example(("bounded", "3", "4", "10", "--mod", "-2"))
+@example(("bounded", "3", "4", "10", "--mod", "--", "2"))
+@example(("syt", "tally", "-1 2"))
+@example(("oeis-check", "A000108", "catalan:2", "--c", "dir", "--offline=1"))
+def test_the_parser_reads_what_the_argparse_grammar_reads(argv):
+    oracle = _parsed(ORACLE.parse_args, argv)
+    parsed = _parsed(cli.parse_args, argv)
+    # an argv the grammar reads gets the same handler and values, or help
+    if oracle != 2:
+        assert parsed == oracle, argv
+    # a refusal is the grammar's refusal too; the grammar refuses more only
+    # where a bad positional came before a help flag, which the parser reads
+    # at the end
+    if parsed == 2:
+        assert oracle == 2, argv
+    elif oracle == 2:
+        asks_help = any(t == "-h" or (len(t) > 2 and "--help".startswith(t)) for t in argv)
+        assert parsed == 0 and asks_help, argv
+
+
+def test_help_is_rendered_from_the_table(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert raised.value.code == 0
+    assert all(f"  {name} " in out for name in cli.COMMANDS)
+    for name, (_, help, args) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as raised:
+            main([name, "--help"])
+        out = capsys.readouterr().out
+        assert raised.value.code == 0
+        assert out.startswith(f"usage: sscat {name} [-h]") and help in out, name
+        assert all(arg.name in out for arg in args), name

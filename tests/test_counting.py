@@ -128,6 +128,20 @@ def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
     assert asked == [0, 1, 2]
 
 
+def test_symbolic_tag_budget_charges_the_tags_of_the_box():
+    # one path at n = 1, but each of the k + 1 points holds a tag of
+    # 2 (max_path_height + 1) slots of 2 bytes: k = 644 is just inside
+    # 2^28 bytes, and k = 645 just outside, refused before the walk
+    assert counting.SYMBOLIC_TAG_BUDGET == 2**28
+    assert 645 * 2 * (max_path_height(644, 1) + 1) * 2 <= 2**28
+    assert not counting.sswcn_lattice(644, 1).is_zero()
+    with pytest.raises(TooLargeError, match="SYMBOLIC_TAG_BUDGET") as raised:
+        counting.sswcn_lattice(645, 1)
+    assert "268754088 bytes of tags" in str(raised.value)
+    # a low bound keeps the tags narrow: no path of (1000, 1) stays below 10
+    assert counting.sswcn_lattice(1000, 1, u=10).is_zero()
+
+
 def test_enumeration_budget_counts_the_paths_up_front():
     budget = counting.ENUMERATE_PATH_BUDGET
     for k, n in ((4, 4), (3, 7), (4, 5), (5, 4), (2, 13)):

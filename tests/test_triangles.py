@@ -9,6 +9,7 @@ from sscat import (
     TooLargeError,
     TransferMatrix,
     WeightAssignment,
+    bounded_sequence,
     bounded_sswcn_dp,
     catalan_number,
     height_triangle_row,
@@ -307,6 +308,20 @@ def test_scan_power_of_two():
     assert (3, 4) not in hits  # its counts grow like 1, 1, 5, 21, ...
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 6])
+def test_scan_power_of_two_matches_the_scan_of_every_sequence(n_max):
+    # The scan drops a (k, u) by its first counts from the lattice walk;
+    # every sequence read whole from its transfer matrix finds the same hits.
+    powers = [2 ** (n - 1) for n in range(1, n_max + 1)]
+    expected = [
+        (k, u)
+        for k in range(2, 9)
+        for u in range(min_path_height(k), 31)
+        if bounded_sequence(k, u, n_max + 1)[1:] == powers
+    ]
+    assert expected and scan_power_of_two(8, 30, n_max) == expected
+
+
 def test_each_transfer_matrix_is_evaluated_once(monkeypatch):
     # one orbit gives every term of a sequence, so each matrix is evaluated
     # once per weight assignment, not once per n
@@ -318,9 +333,9 @@ def test_each_transfer_matrix_is_evaluated_once(monkeypatch):
         return original(matrix, w, modulus)
 
     monkeypatch.setattr(TransferMatrix, "evaluated", counted)
-    scan_power_of_two(7, 20, 8)
-    scanned = [(k, u) for k in range(2, 8) for u in range(min_path_height(k), 21)]
-    assert evaluated == Counter(scanned)
+    hits = scan_power_of_two(7, 20, 8)
+    # only the (k, u) whose first counts are 1 and 2 reach a matrix
+    assert set(evaluated.values()) == {1} and set(hits) < set(evaluated)
     rng = random.Random(43)
     assignments = [WeightAssignment()] + [random_assignment(rng) for _ in range(2)]
     evaluated.clear()
