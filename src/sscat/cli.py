@@ -8,16 +8,16 @@ for parsing arguments.  Each subcommand imports the modules it runs when it
 runs, so a command loads only what it needs.
 
 `COMMANDS` declares the subcommands: each one's handler, help line and
-arguments, with the `--format`s it prints.  `parse_args` reads argv
-against it: `--name value` or `--name=value`, a long option shortened to
-any prefix no other option of the subcommand shares, options and
-positionals in any order, the last of a repeated option counting, every
-word after `--` a positional, and `-h` or `--help` for help rendered from
-the table.  A usage error prints the usage and `sscat <command>: error:
-<message>` to stderr and exits 2.  It reads what an argparse parser of
-the same table reads (`tests/test_cli.py` checks it against one), without
-argparse's import, which loads gettext and locale, or its set-up on every
-run: about 5.5 ms of CPU per command on a 2-core VM with Python 3.11.
+arguments, with the `--format`s it prints.  It is the one grammar, read
+two ways.  `_read` reads only the plain spelling: the command, its
+positionals, then each option by its full name followed by its value.
+It declines anything else rather than guess.  `build_parser`, an
+argparse parser built from the same table, then reads every other
+spelling (`--name=value`, a prefix of an option, options among the
+positionals, `--`, `-h`) and words every help text and usage error
+(exit 2).  So a plain command line never imports argparse, with the
+gettext and locale it loads: on a 2-core VM with Python 3.11 that costs
+about 10 ms of CPU per command.
 """
 
 from __future__ import annotations
@@ -313,6 +313,8 @@ def _cmd_syt(args) -> int:
     from .syt import path_to_tableau, tableau_to_path, tally
 
     if args.action == "path-to-tableau":
+        if args.k is None:
+            raise SscatError("syt path-to-tableau requires --k")
         steps = tuple(int(v) for v in args.value.split(",") if v.strip())
         t = path_to_tableau(BallotPath(args.k, steps))
         _emit(args, t.render(), t.to_json())
@@ -361,35 +363,13 @@ class _Arg:
         self.help = help
 
     def value(self, text: str):
-        """The value of *text*; a `ValueError` that names this argument
-        when *text* is not one."""
-        convert = self.convert
-        if isinstance(convert, tuple):
-            if text in convert:
-                return text
-            choices = ", ".join(map(repr, convert))
-            problem = f"invalid choice: {text!r} (choose from {choices})"
-        else:
-            try:
-                return convert(text)
-            except ValueError as exc:
-                problem = f"invalid int value: {text!r}" if convert is int else str(exc)
-        raise ValueError(f"argument {self.name}: {problem}")
+        """The value of *text*; a `ValueError` when it is not one."""
+        if not isinstance(self.convert, tuple):
+            return self.convert(text)
+        if text not in self.convert:
+            raise ValueError(text)
+        return text
 
-    def usage(self) -> str:
-        """How the argument is written in a usage line."""
-        choices = isinstance(self.convert, tuple)
-        metavar = "{" + ",".join(self.convert) + "}" if choices else self.dest.upper()
-        if not self.option:
-            text = metavar if choices else self.name
-        elif self.convert is None:
-            text = self.name
-        else:
-            text = f"{self.name} {metavar}"
-        return text if self.required else f"[{text}]"
-
-
-_HELP = _Arg("--help", None, False, "show this help message and exit")
 
 _WEIGHT_ARGS = (
     _Arg("--b", _parse_weight_sequence, help="b weights, e.g. 1,0,2,fill=0"),
@@ -401,7 +381,7 @@ def _command(handler, help, formats, *args):
     """A row of `COMMANDS`: the handler, its help line, and its arguments,
     with `--format` accepting only the *formats* it prints, so that a
     format the subcommand cannot print is refused before any work starts."""
-    return handler, help, (_Arg("--format", formats, "plain"), *args)
+    return handler, help, (_Arg("--format", formats, "plain", "how to print the answer"), *args)
 
 
 # csv only where the answer is a table or one record of scalars
@@ -462,173 +442,91 @@ class Arguments:
         self.__dict__.update(values)
 
 
-def _negative_number(text: str) -> bool:
-    """Whether *text*, which starts with '-', reads as a negative number
-    (digits, or digits with one '.' before at least one more digit, and
-    perhaps a final newline): a value, not an option."""
-    whole, dot, fraction = text[1:].removesuffix("\n").partition(".")
-    if dot:
-        return fraction.isdecimal() and (whole == "" or whole.isdecimal())
-    return whole.isdecimal()
-
-
-def _lookup(token: str, options: dict):
-    """What *token* is among *options* ({name: `_Arg`}): (the option, the
-    text after its '=' or None); (None, None) for a value; (False, None)
-    for an option that is not there.  A long option may be written as
-    any prefix of its name that no other option shares.  An ambiguous
-    prefix, or a flag given a value, is a `ValueError`.  '-' and '--'
-    read as values: where options may follow, the caller ends them at
-    '--'."""
-    if not token.startswith("-") or token in ("-", "--"):
-        return None, None
-    if token.startswith("--"):
-        name, eq, text = token.partition("=")
-        if name in options:
-            found = [options[name]]
-        else:
-            found = [arg for option, arg in options.items() if option.startswith(name)]
-        if len(found) > 1:
-            names = ", ".join(arg.name for arg in found)
-            raise ValueError(f"ambiguous option: {token} could match {names}")
-        if found and eq and found[0].convert is None:
-            raise ValueError(f"argument {found[0].name}: ignored explicit argument {text!r}")
-        if found:
-            return found[0], text if eq else None
-    elif token == "-h":
-        return _HELP, None
-    elif _negative_number(token):
-        return None, None
-    return (None if " " in token else False), None
-
-
-def _usage(name) -> str:
-    if name is None:
-        return "usage: sscat [-h] {" + ",".join(COMMANDS) + "} ..."
-    args = COMMANDS[name][2]
-    options = [arg.usage() for arg in args if arg.option]
-    positionals = [arg.usage() for arg in args if not arg.option]
-    return " ".join(["usage: sscat", name, "[-h]", *options, *positionals])
-
-
-def _help(name) -> str:
-    """The help text of the command *name*, or of the program for None."""
-    lines = [_usage(name), ""]
-    if name is None:
-        lines += ["k-dimensional semisymmetric weighted Catalan numbers", "", "commands:"]
-        lines += [f"  {command:<12} {row[1]}" for command, row in COMMANDS.items()]
-        lines += ["", "Run 'sscat <command> -h' for the arguments of a command."]
-        return "\n".join(lines)
-    _, line, args = COMMANDS[name]
-    positionals = [arg for arg in args if not arg.option]
-    options = [_HELP, *(arg for arg in args if arg.option)]
-    lines.append(line)
-    for title, group in (("positional arguments:", positionals), ("options:", options)):
-        if group:
-            lines += ["", title]
-            for arg in group:
-                spelling, text = arg.usage().strip("[]"), arg.help
-                if arg is _HELP:
-                    spelling = "-h, --help"
-                elif not arg.option:
-                    spelling = arg.name
-                    if isinstance(arg.convert, tuple):
-                        text = "one of " + ", ".join(arg.convert)
-                lines.append(f"  {spelling:<28} {text}".rstrip())
-    return "\n".join(lines)
-
-
-def _usage_error(name, message: str):
-    """Print the usage of the command *name* (None: the program) and
-    *message* to stderr, and exit 2."""
-    prog = "sscat" if name is None else f"sscat {name}"
-    print(f"{_usage(name)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _print_help(name):
-    print(_help(name))
-    raise SystemExit(0)
-
-
-def _parse_command(name: str, tokens) -> Arguments:
-    """The `Arguments` of the command *name* from the *tokens* after it.
-
-    Options and positionals may come in any order, an option's value as
-    the next token or after '=', the last of a repeated option counts, and
-    every token after '--' is a positional.  A token that starts with '-'
-    is an option unless it reads as a negative number."""
-    handler, _, args = COMMANDS[name]
-    options = {arg.name: arg for arg in args if arg.option}
-    options[_HELP.name] = _HELP
-    values = {"command": name, "handler": handler}
+def _read(argv: list[str]) -> Arguments | None:
+    """The `Arguments` of *argv* in its plain spelling: the command, its
+    positionals, then options by their full names, each but a flag
+    followed by its value.  None for any other spelling (a prefix, '=',
+    '--', '-h', a value that starts with '-') and for a value that does
+    not convert: `build_parser` reads those, or words their error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, args = COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
     values.update((arg.dest, arg.default) for arg in args)
-    texts, unknown = [], []
-    tokens = iter(tokens)
-    for token in tokens:
-        if token == "--":
-            texts.extend(tokens)
-            break
-        arg, text = _lookup(token, options)
-        if arg is None:
-            texts.append(token)
-        elif arg is False:
-            unknown.append(token)
-        elif arg is _HELP:
-            _print_help(name)
-        elif arg.convert is None:
-            values[arg.dest] = True
-        else:
-            if text is None:
-                text = next(tokens, "--")
-                if text == "--" or _lookup(text, options)[0] is not None:
-                    raise ValueError(f"argument {arg.name}: expected one argument")
-            values[arg.dest] = arg.value(text)
-    positionals = [arg for arg in args if not arg.option]
-    for arg, text in zip(positionals, texts):
-        values[arg.dest] = arg.value(text)
-    missing = [arg.name for arg in positionals[len(texts) :] if arg.required]
-    missing += [arg.name for arg in options.values() if arg.required and values[arg.dest] is None]
-    if missing:
-        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    extra = unknown + texts[len(positionals) :]
-    if extra:
-        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    options = {arg.name: arg for arg in args if arg.option}
+    slots = iter([arg for arg in args if not arg.option])
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            arg = options.get(token)
+            if arg is None:
+                arg = next(slots, None)
+                if arg is None:
+                    return None
+            else:
+                slots = iter(())  # no positional after an option
+                if arg.convert is None:
+                    values[arg.dest] = True
+                    continue
+                token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+            values[arg.dest] = arg.value(token)
+    except ValueError:
+        return None
+    if any(arg.required and values[arg.dest] is None for arg in args):
+        return None
     return Arguments(values)
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`: it reads every spelling of the
+    table, and words every usage error and help text."""
+    import argparse
+
+    def typed(convert):
+        # the converter's own message, not "invalid <name> value"
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return read
+
+    parser = argparse.ArgumentParser(
+        prog="sscat", description="k-dimensional semisymmetric weighted Catalan numbers"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help, args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help, description=help)
+        p.set_defaults(handler=handler)
+        for arg in args:
+            spec = {"default": arg.default, "help": arg.help}
+            if arg.convert is None:
+                spec["action"] = "store_true"
+            elif isinstance(arg.convert, tuple):
+                spec.update(choices=arg.convert, help=arg.help or "one of %(choices)s")
+            else:
+                spec["type"] = arg.convert if arg.convert in (int, str) else typed(arg.convert)
+            if arg.option:
+                spec["required"] = arg.required
+            else:
+                spec.update(metavar=arg.name, nargs=None if arg.required else "?")
+            p.add_argument(arg.name, **spec)
+    return parser
 
 
 def parse_args(argv: list[str]) -> Arguments:
     """The `Arguments` of the command line *argv* (without the program
-    name), read against `COMMANDS`.  A usage error prints the usage and
-    the error to stderr and exits 2; -h or --help prints help and exits 0."""
-    name = None
-    try:
-        # the command is the first value; before it only help is known
-        for i, token in enumerate(argv):
-            arg = _lookup(token, {_HELP.name: _HELP})[0]
-            if arg is None:
-                break
-            if arg is _HELP:
-                _print_help(None)
-        else:
-            raise ValueError("the following arguments are required: command")
-        if argv[i] not in COMMANDS:
-            choices = ", ".join(map(repr, COMMANDS))
-            problem = f"invalid choice: {argv[i]!r} (choose from {choices})"
-            raise ValueError(f"argument command: {problem}")
-        name = argv[i]
-        args = _parse_command(name, argv[i + 1 :])
-    except ValueError as exc:
-        _usage_error(name, str(exc))
-    if i:
-        _usage_error(None, f"unrecognized arguments: {' '.join(argv[:i])}")
-    return args
+    name), read against `COMMANDS`: by `_read`, or by argparse, which
+    prints the usage and the error to stderr and exits 2 on a usage
+    error, and prints help and exits 0 on -h or --help."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if args.command == "syt" and args.action == "path-to-tableau" and args.k is None:
-        _usage_error("syt", "syt path-to-tableau requires --k")
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so a reader that left early is met here

@@ -7,9 +7,11 @@ symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
 T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
 same DP sums over the k-step blocks from each state, found by one BFS.
-Counting routes walk the blocks with the numeric step at their weights,
-so none builds a polynomial; the symbolic entries, the same BFS with
-`weight_step`, are a test oracle.  Runs of fewer than
+A bound at or above the greatest height of a path of length k*n cannot
+bind, and `bounded_sswcn_dp` then sums the unbounded lattice DP where its
+budget admits it.  Counting routes walk the blocks with the numeric step
+at their weights, so none builds a polynomial; the symbolic entries, the
+same BFS with `weight_step`, are a test oracle.  Runs of fewer than
 `RECURRENCE_FROM` * S terms iterate the orbit gamma_n = T gamma_{n-1},
 one product per nonzero entry of T per step.  Longer runs take the
 orbit's first 2S exact terms and their minimal recurrence, of order
@@ -460,16 +462,19 @@ def _check_lattice_work(k: int, n: int, w: WeightAssignment, modulus: Optional[i
 # R the largest absolute row sum of the evaluated matrix, or by bits(m) for
 # residues mod m.  Such runs took 90-230 ps per term-bit on a 2-core VM
 # with Python 3.11, so the budget stands for 10-30 s.  A single exact
-# count is charged the same, though `linrec.term` does 10-20 times less:
-# `bounded 3 30 16000` estimates 2.9e10 and took 0.27 s in-process (3-5 s
-# count by count); the budget admits n up to about 34,000 there.  A single
-# residue on the recurrence route is charged, for each bit of n, 2 S^2
-# products mod m (a squaring and its reduction, d <= S), each
-# PRODUCT_BITS plus bits(m)^2 / 64 for the digits of a long product and
-# its division: measured at 10-380 ps per term-bit for S = 10, 46 and 86
-# and m of 20 to 13,288 bits, 1.2-1.7 times the d-term loop at most.
-# Where the loop's charge is less (a long m and a short run), the loop
-# runs, so a modulus never costs a single count more than the loop did.
+# count on the recurrence route is charged its squarings, which the last
+# one outweighs: its operand packs d <= S slots of bits(a_n) bits, N bits
+# in all, and it took 23-44 ps per N^1.5 for S = 5 to 46, so the jump is
+# charged N^1.5 / 4, 92-176 ps per term-bit.  `bounded 3 30 40000`
+# estimates 7.0e9 and took 1.1 s in-process; n = 290,000, just inside
+# the budget, took 23 s.  A single residue on the recurrence route is
+# charged, for each bit of n, 2 S^2 products mod m (a squaring and its
+# reduction, d <= S), each PRODUCT_BITS plus bits(m)^2 / 64 for the
+# digits of a long product and its division: measured at 10-380 ps per
+# term-bit for S = 10, 46 and 86 and m of 20 to 13,288 bits, 1.2-1.7
+# times the d-term loop at most.  Where the loop's charge is less than
+# the jump's (a long m and a short run, or large weights and n near 4S),
+# the loop runs, so a single count never costs more than the loop did.
 BOUNDED_WORK_BUDGET = 2**37
 
 # The least work a count is charged per product, in term-bits: one product
@@ -490,9 +495,9 @@ def _plan(
     A run of at least RECURRENCE_FROM * S terms takes the recurrence when
     the primes can hold its coefficients: its roots are eigenvalues of T,
     at most R in absolute value, so no coefficient exceeds (1 + R)^S.  A
-    single count on it jumps, unless it is a residue whose jump is charged
-    more than the loop, which then runs.  A run whose estimated work
-    passes `BOUNDED_WORK_BUDGET` raises `TooLargeError`."""
+    single count on it jumps, unless its jump is charged more than the
+    loop, which then runs.  A run whose estimated work passes
+    `BOUNDED_WORK_BUDGET` raises `TooLargeError`."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     rows = _transfer_matrix(k, u).evaluated(w)
@@ -510,11 +515,14 @@ def _plan(
     work = width * max(bits, PRODUCT_BITS * stop)
     route = "loop" if recurrence else "orbit"
     if recurrence and single:
-        route = "jump"
-        if modulus is not None:
+        if modulus is None:
+            # the last squaring's operand: S slots of bits(a_n) each
+            operand = size * growth.bit_length() * stop
+            jump = operand * math.isqrt(operand) // 4
+        else:
             product = PRODUCT_BITS + modulus.bit_length() ** 2 // 64
             jump = 2 * size * size * (stop - 1).bit_length() * product
-            route, work = ("jump", jump) if jump < work else ("loop", work)
+        route, work = ("jump", jump) if jump < work else ("loop", work)
     if work > BOUNDED_WORK_BUDGET:
         residues = "" if modulus is None else f" mod {_shown(modulus)}"
         raise TooLargeError(
@@ -558,10 +566,20 @@ def bounded_sswcn_dp(
     modulus: Optional[int] = None,
 ) -> int:
     """The u-bounded weighted count of length k*n (mod *modulus* when
-    given): component 0 of gamma_n on a short run, else the last of
-    `_recurrence_counts`, on the route `_plan` picks."""
+    given).  Where no path of that length is higher than u, the bound
+    cannot bind: the unbounded `sswcn_lattice_value`, when
+    `LATTICE_WORK_BUDGET` admits it.  Otherwise component 0 of gamma_n
+    on a short run, or the last of `_recurrence_counts`, on the route
+    `_plan` picks."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if u >= max_path_height(k, n):
+        try:
+            return sswcn_lattice_value(k, n, w, modulus)
+        except TooLargeError:
+            pass  # a small matrix, as at k = 2, may still fit its budget
     rows, route = _plan(k, u, w, modulus, n + 1, single=True)
     if route == "orbit":
         return next(islice(_orbit(rows, modulus), n, None))[0]

@@ -145,14 +145,13 @@ class TagFormat(NamedTuple):
 
     def pairs(self, block: int) -> tuple[tuple[int, int], ...]:
         """The (index, exponent) pairs of the nonzero slots of one block,
-        by ascending index."""
-        bits = 8 * self.width
-        mask = (1 << bits) - 1
-        found = []
-        for i in range((block.bit_length() + bits - 1) // bits):
-            if e := block >> bits * i & mask:
-                found.append((i, e))
-        return tuple(found)
+        by ascending index, read from the block's bytes one slot at a time,
+        in time linear in its width."""
+        width = self.width
+        data = block.to_bytes(-(-block.bit_length() // (8 * width)) * width, "little")
+        if width > 1:
+            data = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+        return tuple((i, e) for i, e in enumerate(data) if e)
 
     def monomial(self, tag: int) -> WeightMonomial:
         shift = self.shift

@@ -118,7 +118,9 @@ def test_criterion_5_dp_vs_brute():
             for n in range(4):
                 brute = bounded_sswcn_brute(k, u, n)
                 for w in assignments:
-                    assert bounded_sswcn_dp(k, u, n, w) == brute.evaluate(w)
+                    expected = brute.evaluate(w)
+                    assert bounded_sequence(k, u, n + 1, w)[n] == expected
+                    assert bounded_sswcn_dp(k, u, n, w) == expected
     print("criterion 5 (transfer-matrix DP equals brute force): PASS")
 
 

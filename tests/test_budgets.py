@@ -48,6 +48,12 @@ CASES = [
     (f"bounded 3 30 2048 --mod {10**4000 + 1}", 0),
     # a binding bound leaves one path of the 2,674,440
     ("enumerate 2 14 --bound 1", 0),
+    # no path of length 50 is higher than max_path_height(10, 5) = 125, so
+    # the bound cannot bind: the count is sswcn 10 5's, by the lattice DP
+    ("bounded 10 200 5", 0),
+    ("bounded 10 125 5", 0),
+    # a single exact count is charged by the squarings of its jump
+    ("bounded 3 30 40000", 0),
 ]
 # A single residue is charged 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
 # of n, 2 * 46^2 * (512 + 1806) for n of 14,000 bits mod an m of 340 bits:
@@ -93,6 +99,8 @@ def test_command_ends_in_an_answer_or_a_refusal(command, code):
         assert done.stdout == b""
     if command.startswith("count"):
         assert done.stdout == b"1\n"
+    if command.startswith("bounded 10"):
+        assert done.stdout == b"232553551737813227594400\n"  # sswcn 10 5
     if command.startswith("scan-pow2"):
         lines = done.stdout.decode().splitlines()
         assert lines == [f"k={k} u={u}" for k, u in POW2_HITS]

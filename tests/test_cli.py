@@ -2,7 +2,9 @@ import argparse
 import io
 import json
 import os
+import random
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -877,3 +879,48 @@ def test_help_is_rendered_from_the_table(capsys):
         assert raised.value.code == 0
         assert out.startswith(f"usage: sscat {name} [-h]") and help in out, name
         assert all(arg.name in out for arg in args), name
+
+
+def _benchmark_argv():
+    """Every argv the benchmark runs: the jobs of `perfbench/jobs.py` for
+    seeds 1-3, built without an oracle, which their checks read only when
+    they run, and the start-up call."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    jobs = runpy.run_path(os.path.join(root, "perfbench", "jobs.py"))
+    argvs = {jobs["SETUP_ARGV"]}
+    for make in jobs["WORKLOADS"].values():
+        for seed in (1, 2, 3):
+            argvs.update(job.argv for job in make(random.Random(seed), None))
+    return sorted(argvs)
+
+
+@pytest.mark.parametrize("argv", _benchmark_argv(), ids=" ".join)
+def test_the_plain_reader_reads_every_benchmark_command(argv):
+    args = cli._read(list(argv))
+    assert args is not None
+    assert vars(args) == vars(ORACLE.parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "respelled, plain",
+    [
+        (("count", "2", "1", "--format=json"), ("count", "2", "1", "--format", "json")),
+        (("sswcn", "3", "2", "--sym"), ("sswcn", "3", "2", "--symbolic")),
+        (("count", "--", "2", "1"), ("count", "2", "1")),
+        (("count", "2", "1", "-h"), None),
+    ],
+    ids=["--format=json", "--sym", "--", "-h"],
+)
+def test_other_spellings_are_read_by_argparse(monkeypatch, capsys, respelled, plain):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert cli._read(list(respelled)) is None
+    if plain is None:
+        with pytest.raises(SystemExit) as raised:
+            cli.parse_args(list(respelled))
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sscat count [-h]")
+    else:
+        assert vars(cli.parse_args(list(respelled))) == vars(cli._read(list(plain)))
+    assert built == [1]

@@ -74,6 +74,7 @@ def test_bounded_dp_matches_dense_iteration():
         for _ in range(n):
             gamma = [sum(a * g for a, g in zip(row, gamma)) for row in matrix]
         expected = gamma[0] if modulus is None else gamma[0] % modulus
+        assert bounded_sequence(k, u, n + 1, w, modulus)[n] == expected
         assert bounded_sswcn_dp(k, u, n, w, modulus) == expected
 
 
@@ -277,29 +278,38 @@ def test_dp_equals_brute():
             for n in range(4):
                 brute = bounded_sswcn_brute(k, u, n)
                 for w in assignments:
-                    assert bounded_sswcn_dp(k, u, n, w) == brute.evaluate(w)
+                    expected = brute.evaluate(w)
+                    assert bounded_sequence(k, u, n + 1, w)[n] == expected
+                    assert bounded_sswcn_dp(k, u, n, w) == expected
 
 
 def test_dp_modulus():
     w = WeightAssignment(b_prefix=(3, 1, 4, 1, 5), c_prefix=(9, 2, 6))
+    full = bounded_sequence(3, 6, 6, w)
+    assert bounded_sequence(3, 6, 6, w, modulus=97) == [a % 97 for a in full]
     for n in range(6):
-        full = bounded_sswcn_dp(3, 6, n, w)
-        assert bounded_sswcn_dp(3, 6, n, w, modulus=97) == full % 97
+        assert bounded_sswcn_dp(3, 6, n, w, modulus=97) == full[n] % 97
 
 
 def test_bounded_catalan_saturates():
+    # through the transfer matrix, which bounded_sswcn_dp skips where the
+    # bound cannot bind
     for k, n in ((2, 4), (3, 3), (4, 2)):
         top = max_path_height(k, n)
+        assert bounded_sequence(k, top, n + 1)[n] == catalan_number(k, n)
+        assert bounded_sequence(k, top + 5, n + 1)[n] == catalan_number(k, n)
         assert bounded_sswcn_dp(k, top, n) == catalan_number(k, n)
         assert bounded_sswcn_dp(k, top + 5, n) == catalan_number(k, n)
         if n >= 1:
             assert bounded_sswcn_dp(k, min_path_height(k) - 1, n) == 0
-    assert [bounded_sswcn_dp(3, 4, n) for n in range(7)] == [1, 1, 5, 21, 89, 377, 1597]
+    expected = [1, 1, 5, 21, 89, 377, 1597]
+    assert bounded_sequence(3, 4, 7) == expected
+    assert [bounded_sswcn_dp(3, 4, n) for n in range(7)] == expected
 
 
 def test_bounded_catalan_monotone_in_u():
-    for u in range(2, 12):
-        assert bounded_sswcn_dp(3, u, 3) <= bounded_sswcn_dp(3, u + 1, 3)
+    counts = [bounded_sequence(3, u, 4)[3] for u in range(2, 13)]
+    assert counts == sorted(counts)
 
 
 def test_sub_sswcn_translation_invariance():

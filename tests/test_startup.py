@@ -53,25 +53,40 @@ def test_import_sscat_loads_no_submodule():
     assert not {m for m in loaded if m.startswith("sscat.")}
 
 
+# Each command, and the package modules it runs besides `sscat.cli` and
+# `sscat.counting`.
+RUNS = [
+    (["period", "3", "4", "--mod", "5"], set()),
+    (["count", "2", "1"], set()),
+    # past RECURRENCE_FROM * S terms, exact or mod m: the recurrence route
+    (["bounded", "3", "30", "300"], {"sscat.linrec"}),
+    (["bounded", "3", "30", "300", "--mod", "7"], {"sscat.linrec"}),
+    # the symbolic JSON form is written without the json module
+    (["sswcn", "3", "2", "--symbolic", "--format", "json"], set()),
+    # the options of the benchmark's jobs, each read without argparse
+    (["bounded", "4", "24", "1000", "--b", "2,1,3", "--c", "1,2"], {"sscat.linrec"}),
+    (["sswcn", "3", "5", "--b", "2,1,3", "--c", "1,4"], set()),
+    (
+        ["oeis-check", "A015448", "bounded:3,4", "--terms", "20", "--offline"],
+        {"sscat.oeis", "sscat.linrec"},
+    ),
+    (["triangle", "height", "4", "--rows", "5"], {"sscat.triangles", "sscat.backend"}),
+    (
+        ["scan-pow2", "--k-max", "7", "--u-max", "20", "--n-max", "8"],
+        {"sscat.triangles", "sscat.backend", "sscat.linrec"},
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["period", "3", "4", "--mod", "5"],
-        ["count", "2", "1"],
-        # past RECURRENCE_FROM * S terms, exact or mod m: the recurrence route
-        ["bounded", "3", "30", "300"],
-        ["bounded", "3", "30", "300", "--mod", "7"],
-        # the symbolic JSON form is written without the json module
-        ["sswcn", "3", "2", "--symbolic", "--format", "json"],
-    ],
-    ids=" ".join,
+    "argv, runs", [pytest.param(argv, runs, id=" ".join(argv)) for argv, runs in RUNS]
 )
-def test_a_command_loads_only_what_it_runs(argv):
+def test_a_command_loads_only_what_it_runs(argv, runs):
     loaded = _modules_after(f"from sscat.cli import main\nmain({json.dumps(argv)})")
-    assert "sscat.counting" in loaded
-    assert not loaded & UNUSED, sorted(loaded & UNUSED)
+    assert {"sscat.counting", *runs} <= loaded
+    assert not loaded & (UNUSED - runs), sorted(loaded & (UNUSED - runs))
     # only the recurrence route loads the module of linear recurrences
-    assert ("sscat.linrec" in loaded) == (argv[0] == "bounded"), argv
+    assert ("sscat.linrec" in loaded) == ("sscat.linrec" in runs), argv
 
 
 def test_python_m_sscat_runs_the_cli():

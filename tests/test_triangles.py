@@ -10,7 +10,6 @@ from sscat import (
     TransferMatrix,
     WeightAssignment,
     bounded_sequence,
-    bounded_sswcn_dp,
     catalan_number,
     height_triangle_row,
     max_path_height,
@@ -227,7 +226,7 @@ def test_a_row_walks_the_lattice_once_per_statistic(monkeypatch, build, walks):
 
 @pytest.mark.parametrize("k, n", [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)])
 def test_height_rows_are_differences_of_transfer_matrix_counts(k, n):
-    counts = [bounded_sswcn_dp(k, u, n) for u in range(max_path_height(k, n) + 1)]
+    counts = [bounded_sequence(k, u, n + 1)[n] for u in range(max_path_height(k, n) + 1)]
     differences = {
         u: count - previous
         for u, (previous, count) in enumerate(zip([0] + counts, counts))

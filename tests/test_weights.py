@@ -172,6 +172,31 @@ def test_exponents_that_fill_or_cross_a_byte(n):
     assert poly == WeightPolynomial({WeightMonomial(((0, n),), ((0, n),)): 1})
 
 
+def _shifted_pairs(fmt, block):
+    """The nonzero slots of *block*, each read by shifting the whole block:
+    the decode `TagFormat.pairs` replaced, quadratic in the block's width."""
+    bits = 8 * fmt.width
+    mask = (1 << bits) - 1
+    found = []
+    for i in range((block.bit_length() + bits - 1) // bits):
+        if e := block >> bits * i & mask:
+            found.append((i, e))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_pairs_read_from_bytes_match_the_shift_decode(width):
+    rng = random.Random(20261020 + width)
+    top = (1 << 8 * width) - 1
+    for heights in (1, 2, 7, 300, 5000):
+        fmt = TagFormat(heights, width)
+        for density in (0.0, 0.01, 0.5, 1.0):
+            exponents = [rng.randint(1, top) if rng.random() < density else 0 for _ in range(heights)]
+            block = sum(e << 8 * width * i for i, e in enumerate(exponents))
+            assert fmt.pairs(block) == _shifted_pairs(fmt, block), (heights, density)
+            assert fmt.pairs(block) == tuple((i, e) for i, e in enumerate(exponents) if e)
+
+
 def _print_key(mono):
     return mono.b, mono.c[::-1]
 
