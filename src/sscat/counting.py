@@ -6,7 +6,8 @@ functions run the layered DP over the ballot points of the box, with the
 symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
 T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
-same DP sums over the k-step blocks from each state, found by one BFS.
+same DP sums over the k-step blocks from each state, found by one BFS,
+which charges its walk as it goes and stops past `STATE_WALK_BUDGET`.
 A bound at or above the greatest height of a path of length k*n cannot
 bind, and `bounded_sswcn_dp` then sums the unbounded lattice DP where its
 budget admits it.  Counting routes walk the blocks with the numeric step
@@ -288,20 +289,39 @@ def _blocks(k: int, u: int, a: Point, seed: dict, step: Step) -> dict[Point, dic
     return {tuple(c - y[-1] for c in y): vector for y, vector in walk.items()}
 
 
+# Budget of the state-space BFS: each state is charged k times the
+# endpoints of its blocks, as they are walked.  On a 2-core VM with Python
+# 3.11, walks of 10^5 units or more took 1.5-2.2 us per unit for k = 3 to
+# 12 (2.8 us at k = 2, u = 20,000), so the budget stands for about 2 s.
+# The largest walk of any test or benchmark job, (8, 60) with 99 states,
+# is charged 41,608; (10, 100), 363 states, 561,280 in about 1 s; and
+# (4, 200), 10,115 states, 1,236,836: refused.
+STATE_WALK_BUDGET = 2**20
+
+
 def _walk_states(k: int, u: int, seed: dict, step: Step) -> tuple[list[Point], list[dict]]:
     """One BFS from the all-zero state under normalized k-step blocks: the
     states in discovery order, all-zero first, then each level's new
     states in sorted order, and each state's `_blocks`, walked once.  The
-    keys of the blocks, and so the order, never depend on *step*."""
+    keys of the blocks, and so the order, never depend on *step*.  A walk
+    charged past `STATE_WALK_BUDGET` raises `TooLargeError`."""
     if u < 0:
         raise ValueError(f"height bound must be >= 0, got {u}")
     states = [(0,) * k]
+    known = set(states)
     rows: list[dict[Point, dict]] = []
+    charge = 0
     while len(rows) < len(states):
         level = states[len(rows) :]
-        rows.extend(_blocks(k, u, state, seed, step) for state in level)
-        found = {s for row in rows[-len(level) :] for s in row}
-        new = sorted(found.difference(states))
+        for state in level:
+            rows.append(_blocks(k, u, state, seed, step))
+            charge += k * len(rows[-1])
+            if charge > STATE_WALK_BUDGET:
+                raise TooLargeError(
+                    f"the transfer matrix at (k={k}, u={u}) has at least {len(states)} "
+                    f"states, whose walk passes STATE_WALK_BUDGET = {STATE_WALK_BUDGET}"
+                )
+        new = sorted({s for row in rows[-len(level) :] for s in row}.difference(known))
         for s in new:
             if s[-1] != 0 or ss_height_point(s) > u:
                 raise FormulaViolationError(
@@ -311,6 +331,7 @@ def _walk_states(k: int, u: int, seed: dict, step: Step) -> tuple[list[Point], l
                     witness=(k, u),
                 )
         states.extend(new)
+        known.update(new)
     return states, rows
 
 

@@ -52,6 +52,9 @@ CASES = [
     # the bound cannot bind: the count is sswcn 10 5's, by the lattice DP
     ("bounded 10 200 5", 0),
     ("bounded 10 125 5", 0),
+    # past LATTICE_WORK_BUDGET, the transfer matrix at (4, 2000) has far
+    # more states than STATE_WALK_BUDGET lets its walk find
+    ("bounded 4 2000 400", 2),
     # a single exact count is charged by the squarings of its jump
     ("bounded 3 30 40000", 0),
 ]

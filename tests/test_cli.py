@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import os
@@ -259,6 +260,132 @@ def test_closed_stdout_ends_quietly(argv, read):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0 and err == b""
+
+
+def _child_env():
+    """The environment of a child CLI: the package on its path, 80-column
+    help, and a buffered stdout, as a shell starts it."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _python(*args, **streams):
+    """A child `python *args*` in `_child_env`, its stdout and stderr read
+    as text."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run(
+        [sys.executable, *args], env=_child_env(), text=True, timeout=60, **streams
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(argv, code, id=" ".join(argv))
+        for argv, code in (
+            (("count", "3", "4"), 0),
+            # 24,024 lines, far more than the stdio buffer holds
+            (("enumerate", "4", "4"), 0),
+            (("verify", "all"), 0),
+            (("bounded", "3", "30", "1000000"), 2),  # refused by its budget
+            (("count", "3"), 2),  # argparse's usage error
+            (("-h",), 0),
+        )
+    ],
+)
+def test_each_script_entry_prints_what_main_prints(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    expected = exit_code(capsys, *argv)
+    assert expected[0] == code and (expected[1] or expected[2])
+    for module in ("sscat.cli", "sscat"):
+        done = _python("-m", module, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == expected, module
+
+
+# The CLI's script entry, after what *setup* makes.
+_RUN_PROBE = """\
+import atexit, sys
+{setup}
+sys.argv = ["sscat", "count", "2", "1"]
+from sscat.cli import main, run
+{call}
+"""
+
+
+def test_run_keeps_the_exit_callbacks():
+    setup = "atexit.register(print, 'marker', file=sys.stderr)"
+    done = _python("-c", _RUN_PROBE.format(setup=setup, call="run()"), stderr=subprocess.STDOUT)
+    assert (done.returncode, done.stdout) == (0, "1\nmarker\n")
+
+
+def test_run_skips_the_interpreter_teardown():
+    setup = (
+        "class Witness:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('finalized\\n')\n"
+        "witness = Witness()"
+    )
+    # a teardown finalizes the module-level witness ...
+    done = _python("-c", _RUN_PROBE.format(setup=setup, call="sys.exit(main())"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "finalized\n")
+    # ... and `run` ends the process before any
+    done = _python("-c", _RUN_PROBE.format(setup=setup, call="run()"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+def _close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize(
+    "argv, target, error",
+    [
+        (("count", "2", "1"), "/dev/full", errno.ENOSPC),
+        # written while the paths are found, not only by the last flush
+        (("enumerate", "4", "4"), "/dev/full", errno.ENOSPC),
+        (("count", "2", "1"), None, errno.EBADF),  # started with fd 1 closed
+    ],
+    ids=["count-full", "enumerate-full", "count-closed"],
+)
+def test_an_unwritable_stdout_is_refused(argv, target, error):
+    if target is None:
+        streams = {"stdout": None, "preexec_fn": _close_stdout}
+    elif os.path.exists(target):
+        streams = {"stdout": open(target, "w")}
+    else:
+        pytest.skip(f"no {target}")
+    try:
+        for module in ("sscat.cli", "sscat"):
+            done = _python("-m", module, *argv, **streams)
+            assert done.returncode == 2, module
+            assert done.stderr == f"error: cannot write the output: {os.strerror(error)}\n"
+    finally:
+        if streams["stdout"] is not None:
+            streams["stdout"].close()
+
+
+@pytest.mark.parametrize("argv", [("count", "2", "1"), ("enumerate", "4", "4")], ids=" ".join)
+def test_a_reader_gone_before_the_run_is_a_normal_end(argv):
+    # what the buffer still holds must not fail again at the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python("-m", "sscat", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_a_file_that_cannot_be_read_is_not_an_output_error(capsys, monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", "b015448.txt")
+
+    monkeypatch.setattr(oeis, "fetch_bfile", unreadable)
+    with pytest.raises(PermissionError):
+        main(["oeis-check", "A015448", "bounded:3,4", "--offline"])
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

@@ -99,14 +99,18 @@ def test_python_m_sscat_runs_the_cli():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "462\n", "")
-    loaded = _modules_after(
-        "import runpy, sys\n"
-        "sys.argv = ['sscat', 'count', '2', '1']\n"
-        "try:\n"
-        "    runpy.run_module('sscat', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+    # The CLI ends its process without returning to a probe, so the module
+    # names are read from the imports that -X importtime lists on stderr.
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sscat", "count", "2", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
     assert {"sscat.cli", "sscat.counting"} <= loaded
     assert not loaded & UNUSED, sorted(loaded & UNUSED)
 
