@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "backend": "ACTIVE_BACKEND height_histogram peak_histogram stat_histograms",
+        "backend": "ACTIVE_BACKEND stat_histograms",
         "counting": """DEFAULT_PATH_CAP StateSpace TransferMatrix bounded_sswcn_brute
             bounded_sequence bounded_sswcn_dp build_state_space catalan_number
             legacy_wcn_brute max_path_height min_path_height sswcn_brute

@@ -53,8 +53,8 @@ from .paths import (
     enumerate_paths,
     enumerate_sub_paths,
     is_ballot_point,
-    lattice_sum,
-    lattice_walk,
+    lattice_diagonal,
+    lattice_layers,
     ss_height_point,
 )
 from .weights import (
@@ -249,7 +249,7 @@ def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
             f"the symbolic walk at (k={k}, n={n}) carries {tag_bytes} bytes of tags, "
             f"more than SYMBOLIC_TAG_BUDGET = {SYMBOLIC_TAG_BUDGET}"
         )
-    return tag_polynomial(lattice_sum(k, n, {0: 1}, weight_step(fmt), height_bound=u), fmt)
+    return tag_polynomial(lattice_diagonal(k, n, {0: 1}, weight_step(fmt), u)[n], fmt)
 
 
 def sswcn_lattice_value(
@@ -258,7 +258,7 @@ def sswcn_lattice_value(
     """`sswcn_lattice` evaluated at the weights *w*, reduced mod *modulus*
     after every step when given, refused past `LATTICE_WORK_BUDGET`."""
     _check_lattice_work(k, n, w, modulus)
-    value = lattice_sum(k, n, {None: 1}, _value_step(w, modulus))[None]
+    value = lattice_diagonal(k, n, {None: 1}, _value_step(w, modulus))[n][None]
     return value if modulus is None else value % modulus
 
 
@@ -285,8 +285,9 @@ def _blocks(k: int, u: int, a: Point, seed: dict, step: Step) -> dict[Point, dic
     subtracts x_k * (1, ..., 1), which keeps the height since the g
     coefficients sum to zero; distinct endpoints never normalize alike."""
     # k steps never reach the corner a + (k, ..., k), so the box never binds.
-    walk = lattice_walk(k, a, tuple(c + k for c in a), k, seed, step, u)
-    return {tuple(c - y[-1] for c in y): vector for y, vector in walk.items()}
+    layers = lattice_layers(k, a, tuple(c + k for c in a), seed, step, u)
+    walk = next(islice(layers, k, None))
+    return {tuple(c - y[-1] for c in y): vector for y, (_, vector) in walk.items()}
 
 
 # Budget of the state-space BFS: each state is charged k times the

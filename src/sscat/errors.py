@@ -30,13 +30,15 @@ class InvalidStateError(SscatError):
 
 
 class TooLargeError(SscatError):
-    """A computation would pass a fixed budget: the path cap of the brute-force
-    oracles and `sswcn_lattice`, the period search's work and table limits,
-    the estimated work of a bounded count (`BOUNDED_WORK_BUDGET`), of a
-    triangle's rows (`TRIANGLE_WORK_BUDGET`) or of a numeric lattice count
-    (`LATTICE_WORK_BUDGET`), the steps `sscat enumerate` would print and
-    the coordinates it would hold (`ENUMERATE_PATH_BUDGET`), or the bits of
-    (kn)! in a Catalan number
+    """A computation would pass a fixed budget: the paths of the brute-force
+    oracles and `sswcn_lattice` (`DEFAULT_PATH_CAP`), the tag bytes of a
+    symbolic lattice walk (`SYMBOLIC_TAG_BUDGET`), the period search's work
+    and baby steps (`PERIOD_SEARCH_BUDGET`, `PERIOD_TABLE_LIMIT`), the
+    states of a transfer matrix's walk (`STATE_WALK_BUDGET`), the estimated
+    work of a bounded count (`BOUNDED_WORK_BUDGET`), of a triangle's box
+    (`TRIANGLE_WORK_BUDGET`) or of a numeric lattice count
+    (`LATTICE_WORK_BUDGET`), what `sscat enumerate` would print and hold
+    (`ENUMERATE_PATH_BUDGET`), or the bits of (kn)! in a Catalan number
     (`CATALAN_BITS_BUDGET`)."""
 
 

@@ -1,10 +1,13 @@
 """Points, the semisymmetric height, step taxonomy, the ballot-successor
 rule, and the two walks built on it: pruned depth-first enumeration of
 ballot paths, for `sscat enumerate` and the brute-force oracles, and one
-layered lattice DP that sums over walks without enumerating them, for the
-box [0, n]^k and for the k-step blocks of the transfer matrix.  Both walks
-start from `ss_height_point`, and the DP hands each step its `StepKind`,
-so callers never re-derive the up/neutral/down split from a direction.
+layered lattice DP, `lattice_layers`, that sums over walks without
+enumerating them.  Its layers are read at the diagonal points of the box
+[0, n]^k, for the sums of lengths 0, k, ..., k*n from one walk
+(`lattice_diagonal`), and at layer k for the k-step blocks of the
+transfer matrix.  Both walks start from `ss_height_point`, and the DP
+hands each step its `StepKind`, so callers never re-derive the
+up/neutral/down split from a direction.
 
 A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
@@ -240,33 +243,29 @@ def ballot_walks(
             yield from map(prefix.__add__, tails)
 
 
-def lattice_walk(
-    k: int,
-    start: Point,
-    top: Point,
-    length: int,
-    seed: dict,
-    step: Step,
-    height_bound: Optional[int] = None,
-) -> dict[Point, dict]:
-    """Layered DP over the ballot points of the box from *start* to *top*,
-    *length* steps deep; returns {endpoint: vector}.
+def lattice_layers(
+    k: int, start: Point, top: Point, seed: dict, step: Step, height_bound: Optional[int] = None
+) -> Iterator[dict[Point, tuple[int, dict]]]:
+    """The layered DP over the ballot points of the box from *start* to
+    *top*: yields layer i, {point: (height, vector)} over the points i
+    steps from *start*, for i = 0 .. |top - start|, each one on demand.
 
     Every point carries a sparse vector {tag: coefficient}; the one at
     *start* is *seed*.  Moving a vector along a step of kind
     ``step_class(k, d)`` from a point of height g to one of height g2 is
     ``step(vector, kind, g, g2)``, which yields (tag, coefficient) pairs;
     pairs reaching the same point are summed.  Steps (and a start) above
-    *height_bound* are pruned.  Since a step's effect depends only on its
-    kind and end points, each endpoint's vector sums the effect of every
-    walk reaching it, visiting none."""
+    *height_bound* are pruned, which may leave layers empty.  Since a
+    step's effect depends only on its kind and end points, each point's
+    vector sums the effect of every walk reaching it, visiting none."""
     coeffs = height_coefficients(k)
     kinds = [step_class(k, d) for d in range(1, k + 1)]
     g0 = ss_height_point(start)
-    if height_bound is not None and g0 > height_bound:
-        return {}
-    layer: dict[Point, tuple[int, dict]] = {start: (g0, seed)}
-    for _ in range(length):
+    layer: dict[Point, tuple[int, dict]] = {}
+    if height_bound is None or g0 <= height_bound:
+        layer[start] = (g0, seed)
+    for _ in range(sum(top) - sum(start) + 1):
+        yield layer
         following: dict[Point, tuple[int, dict]] = {}
         for x, (g, vector) in layer.items():
             for d in ballot_successors(x, top):
@@ -278,19 +277,20 @@ def lattice_walk(
                 for tag, coeff in step(vector, kinds[d - 1], g, g2):
                     target[tag] = target.get(tag, 0) + coeff
         layer = following
-    return {x: vector for x, (_, vector) in layer.items()}
 
 
-def lattice_sum(
+def lattice_diagonal(
     k: int, n: int, seed: dict, step: Step, height_bound: Optional[int] = None
-) -> dict:
-    """`lattice_walk` through the box [0, n]^k from the origin to its top
-    corner (n, ..., n): the vector summing every balanced walk of length
-    k*n, or {} when none stays within *height_bound*."""
+) -> list[dict]:
+    """The vectors at (m, ..., m), m = 0..n, from one `lattice_layers` walk
+    of the box [0, n]^k from the origin: entry m sums every balanced walk
+    of length k*m, or is {} when none stays within *height_bound*.  No
+    walk to (m, ..., m) leaves [0, m]^k, since coordinates never decrease."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    top = (n,) * k
-    return lattice_walk(k, (0,) * k, top, k * n, seed, step, height_bound).get(top, {})
+    layers = lattice_layers(k, (0,) * k, (n,) * k, seed, step, height_bound)
+    # Taking every layer in turn keeps none alive past the next one.
+    return [layer.get((i // k,) * k, (0, {}))[1] for i, layer in enumerate(layers) if i % k == 0]
 
 
 def enumerate_paths(

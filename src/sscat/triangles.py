@@ -3,11 +3,12 @@
 The height triangle counts balanced ballot paths by their maximum
 semisymmetric height; the Narayana triangle counts them by the number of
 semisymmetric peaks (an up-step immediately followed by a down-step).
-Each row is one lattice walk over the ballot points of the box, for the
-statistic it prints, refused past `TRIANGLE_WORK_BUDGET` before any walk,
-and checked against the Catalan number; a height row is also checked
-against the successive differences of the height-bounded counts, which a
-second walk carries for every bound u at once.  Path enumeration and the
+Rows 0..N are read off the diagonal of one lattice walk over the ballot
+points of the box [0, N]^k, for the statistic they print, refused past
+`TRIANGLE_WORK_BUDGET` before any walk.  Every row is checked against the
+Catalan number; a height row is also checked against the successive
+differences of the height-bounded counts, which a second walk of the
+same box carries for every bound u at once.  Path enumeration and the
 differences of bounded transfer-matrix counts are the test oracles.
 """
 
@@ -28,7 +29,7 @@ from .counting import (
     sswcn_lattice,
 )
 from .errors import FormulaViolationError, InvalidDimensionError, TooLargeError
-from .paths import lattice_sum
+from .paths import lattice_diagonal
 from .weights import ALL_ONES, WeightAssignment, WeightMonomial, WeightPolynomial
 
 HEIGHT_TRIANGLE = "height"
@@ -56,105 +57,100 @@ class TriangleRow(NamedTuple):
         }
 
 
-# Budget of a triangle, summed over its rows before any walk.  Row n
-# estimates the C(n + k, k) ballot points of the box, each with at most k
-# successors, times the 2(H + 1) tags a point carries over the row's walks,
-# H = max_path_height(k, n): H + 1 running maxima and H + 1 survival
-# counts, or at most 2(H + 1) (last step up, peaks) pairs.  k = 2 comes
-# nearest the budget: `triangle height 2 --rows 62`, the slowest admitted
-# command, estimates 8.3e6 and takes about 1.4 s on a 2-core VM with Python
-# 3.11, while `--rows 126`, refused, estimates 1.3e8 ((6, 12): 5.8e7).
-TRIANGLE_WORK_BUDGET = 2**23
-
-
-def _row_work(k: int, n: int) -> int:
-    """The estimated tag-steps of row n; once the tags of one point pass
-    the budget, only those, which keeps math.comb from sizes it could not
-    finish."""
-    per_point = 2 * k * (max_path_height(k, n) + 1)
-    if per_point > TRIANGLE_WORK_BUDGET:
-        return per_point
-    return per_point * math.comb(n + k, k)
+# Budget of a triangle, charged for the one box [0, N]^k of its last row
+# N before any walk: its C(N + k, k) ballot points, each with at most k
+# successors, times the 2(H + 1) tags a point carries over the triangle's
+# walks, H = max_path_height(k, N): H + 1 running maxima and H + 1
+# survival counts, or at most 2(H + 1) (last step up, peaks) pairs.  On a
+# 2-core VM with Python 3.11 the largest admitted triangles take 1.5-1.8 s
+# at k = 2, (2, 201), whose counts grow longest, and 0.1-1.2 s at k = 3..12.
+TRIANGLE_WORK_BUDGET = 2**24
 
 
 def _check_work(kind: str, k: int, ns: range) -> None:
-    """Raise `TooLargeError` when the *kind* rows n in *ns* together pass
-    `TRIANGLE_WORK_BUDGET`, summing their estimates in order and stopping
-    as soon as the sum passes it."""
+    """Raise `TooLargeError` when the walks of the *kind* rows in *ns*,
+    one box for them all, pass `TRIANGLE_WORK_BUDGET`: its tag-steps plus
+    the k step kinds each of two walks lists first.  Once one point's tags
+    pass the budget the points are not counted, nor math.comb called."""
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
-    work = 0
-    for n in ns:
-        work += _row_work(k, n)
-        if work > TRIANGLE_WORK_BUDGET:
-            rows = f"n={ns.start}" if len(ns) == 1 else f"n={ns.start}..{ns.stop - 1}"
-            raise TooLargeError(
-                f"the {kind} triangle (k={k}, {rows}) passes TRIANGLE_WORK_BUDGET "
-                f"= {TRIANGLE_WORK_BUDGET} tag-steps"
-            )
+    n = ns[-1]
+    per_point = 2 * k * (max_path_height(k, n) + 1)
+    points = math.comb(n + k, k) if per_point <= TRIANGLE_WORK_BUDGET else 1
+    if per_point * points + 2 * k > TRIANGLE_WORK_BUDGET:
+        rows = f"n={ns.start}" if len(ns) == 1 else f"n={ns.start}..{n}"
+        raise TooLargeError(
+            f"the {kind} triangle (k={k}, {rows}) passes TRIANGLE_WORK_BUDGET "
+            f"= {TRIANGLE_WORK_BUDGET} tag-steps"
+        )
 
 
 @lru_cache(maxsize=None)
-def _histograms(kind: str, k: int, n: int) -> dict[int, int]:
-    """The histogram that the *kind* row prints, from one lattice walk."""
-    walk = backend.height_histogram if kind == HEIGHT_TRIANGLE else backend.peak_histogram
+def _histograms(kind: str, k: int, n: int) -> list[dict[int, int]]:
+    """The *kind* histograms of rows 0..n, from one walk of [0, n]^k."""
+    walk = backend.height_histograms if kind == HEIGHT_TRIANGLE else backend.peak_histograms
     return walk(k, n)
 
 
-def _checked_row(kind: str, k: int, n: int) -> TriangleRow:
-    """The row of *kind* from `_histograms`, refused past
-    `TRIANGLE_WORK_BUDGET` before any walk, and checked to sum to the
-    Catalan number."""
-    _check_work(kind, k, range(n, n + 1))
-    entries = _histograms(kind, k, n)
-    total = catalan_number(k, n)
-    if sum(entries.values()) != total:
-        raise FormulaViolationError(
-            f"{kind.capitalize()} row (k={k}, n={n}) does not sum to the Catalan number",
-            expected=total,
-            actual=sum(entries.values()),
-            witness=(k, n),
-        )
-    return TriangleRow(kind, k, n, dict(entries))
+def _height_differences(k: int, n: int) -> list[dict[int, int]]:
+    """For m = 0..n, the height row m as the successive differences of the
+    height-bounded counts, from one walk of the box [0, n]^k: each bound u
+    starts with a count of 1, dropped once a step ends above u."""
+
+    def survive(vector, kind, g, g2):
+        return ((u, c) for u, c in vector.items() if u >= g2)
+
+    seed = dict.fromkeys(range(max_path_height(k, n) + 1), 1)
+    rows = []
+    for m, bounded in enumerate(lattice_diagonal(k, n, seed, survive)):
+        counts = [bounded.get(u, 0) for u in range(max_path_height(k, m) + 1)]
+        rows.append({u: c - p for u, (p, c) in enumerate(zip([0] + counts, counts)) if c != p})
+    return rows
+
+
+def triangle_rows(kind: str, k: int, ns: range) -> list[TriangleRow]:
+    """The rows n in *ns* of the *kind* triangle, from one walk per
+    statistic of the box of the last row, refused as a whole past
+    `TRIANGLE_WORK_BUDGET` before any walk.  Each row is checked to sum to
+    the Catalan number, and a height row also against the survival counts."""
+    _check_work(kind, k, ns)
+    histograms = _histograms(kind, k, ns[-1])
+    differences = _height_differences(k, ns[-1]) if kind == HEIGHT_TRIANGLE else None
+    rows = []
+    for n in ns:
+        row = TriangleRow(kind, k, n, dict(histograms[n]))
+        total = catalan_number(k, n)
+        if row.total() != total:
+            raise FormulaViolationError(
+                f"{kind.capitalize()} row (k={k}, n={n}) does not sum to the Catalan number",
+                expected=total,
+                actual=row.total(),
+                witness=(k, n),
+            )
+        if differences is not None and differences[n] != row.entries:
+            raise FormulaViolationError(
+                f"height row (k={k}, n={n}): differences of height-bounded counts "
+                "disagree with the max-height histogram",
+                expected=differences[n],
+                actual=row.entries,
+                witness=(k, n),
+            )
+        rows.append(row)
+    return rows
 
 
 def height_triangle_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by exact maximum
     semisymmetric height, cross-checked against differences of the
-    height-bounded lattice counts."""
-    row = _checked_row(HEIGHT_TRIANGLE, k, n)
-
-    # Each bound u starts with a count of 1, dropped once a step ends above u.
-    def survive(vector, kind, g, g2):
-        return ((u, c) for u, c in vector.items() if u >= g2)
-
-    top = max_path_height(k, n)
-    bounded = lattice_sum(k, n, dict.fromkeys(range(top + 1), 1), survive)
-    counts = [bounded.get(u, 0) for u in range(top + 1)]
-    by_difference = {u: c - p for u, (p, c) in enumerate(zip([0] + counts, counts)) if c != p}
-    if by_difference != row.entries:
-        raise FormulaViolationError(
-            f"height row (k={k}, n={n}): differences of height-bounded counts "
-            "disagree with the max-height histogram",
-            expected=by_difference,
-            actual=row.entries,
-            witness=(k, n),
-        )
-    return row
+    height-bounded lattice counts: the last row of `triangle_rows`."""
+    return triangle_rows(HEIGHT_TRIANGLE, k, range(n, n + 1))[0]
 
 
 def narayana_row(k: int, n: int) -> TriangleRow:
     """Counts of balanced ballot paths of length k*n by number of
-    semisymmetric peaks, cross-checked against the row total."""
-    return _checked_row(NARAYANA_TRIANGLE, k, n)
-
-
-def triangle_rows(kind: str, k: int, ns: range) -> list[TriangleRow]:
-    """The rows n in *ns* of the *kind* triangle, in order, refused as a
-    whole past `TRIANGLE_WORK_BUDGET` before any walk."""
-    _check_work(kind, k, ns)
-    build = height_triangle_row if kind == HEIGHT_TRIANGLE else narayana_row
-    return [build(k, n) for n in ns]
+    semisymmetric peaks, cross-checked against the row total: the last
+    row of `triangle_rows`."""
+    return triangle_rows(NARAYANA_TRIANGLE, k, range(n, n + 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +344,9 @@ def verify_dprime_3_2n(n_max: int) -> VerificationRecord:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     checks = []
-    for n in range(1, n_max + 1):
-        actual = height_triangle_row(3, n).entries.get(2 * n, 0)
+    for row in triangle_rows(HEIGHT_TRIANGLE, 3, range(1, n_max + 1)):
+        n = row.n
+        actual = row.entries.get(2 * n, 0)
         binomial = (
             math.comb(3 * n, n)
             - 2 * math.comb(3 * n, n - 1)
@@ -403,25 +400,24 @@ def scan_power_of_two(k_max: int, u_max: int, n_max: int) -> list[tuple[int, int
     """Small-(k, u) scan for bounds where the bounded count looks like
     2^(n-1) for n = 1..n_max.  A search helper only — no completeness claim.
 
-    Each (k, u) is dropped at the first of its counts c_1 and c_2 (those
-    with n <= n_max) that is not 2^(n-1), read from the height-bounded
-    lattice walk; only the survivors build a transfer matrix, under its
+    Each (k, u) is dropped when its counts c_1 and c_2 (those with
+    n <= n_max), read from one height-bounded lattice walk, are not
+    2^(n-1); only the survivors build a transfer matrix, under its
     budget, for the whole sequence."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     powers = [2 ** (n - 1) for n in range(1, n_max + 1)]
-    first = range(1, min(n_max, 2) + 1)
+    first = min(n_max, 2)
     step = _value_step(ALL_ONES, None)
     hits = []
     for k in range(2, k_max + 1):
         if min_path_height(k) > u_max:  # and so for every larger k
             break
         for u in range(min_path_height(k), u_max + 1):
-            if all(
-                lattice_sum(k, n, {None: 1}, step, height_bound=u).get(None, 0) == powers[n - 1]
-                for n in first
-            ) and bounded_sequence(k, u, n_max + 1)[1:] == powers:
-                hits.append((k, u))
+            counts = lattice_diagonal(k, first, {None: 1}, step, height_bound=u)[1:]
+            if [c.get(None, 0) for c in counts] == powers[:first]:
+                if bounded_sequence(k, u, n_max + 1)[1:] == powers:
+                    hits.append((k, u))
     return hits
 
 

@@ -18,7 +18,6 @@ from sscat import (
     detect_eventual_period,
     enumerate_paths,
     fetch_bfile,
-    height_histogram,
     height_triangle_row,
     legacy_wcn_brute,
     max_path_height,
@@ -35,6 +34,7 @@ from sscat import (
     verify_min_u_formulas,
     verify_recurrence_3_4,
 )
+from sscat.backend import height_histograms
 from sscat.counting import _transfer_matrix
 from sscat.syt import Tableau
 from tests.conftest import random_assignment
@@ -74,11 +74,11 @@ def test_criterion_3_oeis_prefixes():
     # every bundled term, from the lattice DP's height histogram
     a274969 = fetch_bfile("A274969", offline=True)
     for n, value in enumerate(a274969.values, start=a274969.offset):
-        assert height_histogram(3, n)[2 * n] == value
+        assert height_histograms(3, n)[n][2 * n] == value
 
     a001246 = fetch_bfile("A001246", offline=True)
     for n, value in enumerate(a001246.values, start=a001246.offset):
-        assert height_histogram(4, n)[max_path_height(4, n)] == value
+        assert height_histograms(4, n)[n][max_path_height(4, n)] == value
 
     a060854 = fetch_bfile("A060854", offline=True)
     # square array read by antidiagonals d = k + n, k ascending

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from sscat import bounded_sequence, bounded_sswcn_dp, catalan_number, cli, max_path_height
-from sscat.paths import lattice_sum
+from sscat.paths import lattice_diagonal
 
 # The hits of `scan-pow2` for k <= 9; k = 10 to 14 have none up to u = 80.
 POW2_HITS = [(2, 2), (4, 6), (5, 8), (5, 9), (6, 10), (6, 11), (6, 12)]
@@ -57,6 +57,14 @@ CASES = [
     ("bounded 4 2000 400", 2),
     # a single exact count is charged by the squarings of its jump
     ("bounded 3 30 40000", 0),
+    # a triangle is charged for the one box of its last row, just inside
+    # TRIANGLE_WORK_BUDGET and just outside it
+    ("triangle height 2 --rows 201", 0),
+    ("triangle height 2 --rows 202", 2),
+    ("triangle height 4 --rows 24", 0),
+    ("triangle height 4 --rows 25", 2),
+    # row 0 has one point, but each walk first lists the k step kinds
+    ("triangle height 4194305 --rows 0", 2),
 ]
 # A single residue is charged 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
 # of n, 2 * 46^2 * (512 + 1806) for n of 14,000 bits mod an m of 340 bits:
@@ -100,6 +108,8 @@ def test_command_ends_in_an_answer_or_a_refusal(command, code):
     assert b"Traceback" not in done.stderr
     if code == 2:
         assert done.stdout == b""
+    if command.startswith("triangle") and code == 2:
+        assert b"TRIANGLE_WORK_BUDGET" in done.stderr
     if command.startswith("count"):
         assert done.stdout == b"1\n"
     if command.startswith("bounded 10"):
@@ -115,8 +125,9 @@ def test_bounded_8_60_matches_the_height_bounded_lattice():
         return vector.items()
 
     counts = bounded_sequence(8, 60, 6)
+    lattices = lattice_diagonal(8, 5, {None: 1}, keep, height_bound=60)
     for n in range(6):
-        lattice = lattice_sum(8, n, {None: 1}, keep, height_bound=60).get(None, 0)
+        lattice = lattices[n].get(None, 0)
         assert bounded_sswcn_dp(8, 60, n) == counts[n] == lattice, n
         binds = max_path_height(8, n) > 60
         assert (lattice < catalan_number(8, n)) == binds, n

@@ -187,7 +187,7 @@ FORMAT_CASES = [
     (("sswcn", "3", "2", "--symbolic"), (counting, "sswcn_lattice"), ("plain", "json")),
     (
         ("triangle", "height", "3", "--rows", "2"),
-        (triangles, "height_triangle_row"),
+        (triangles, "triangle_rows"),
         cli.FORMATS,
     ),
     (
@@ -395,13 +395,13 @@ def test_a_file_that_cannot_be_read_is_not_an_output_error(capsys, monkeypatch):
         for argv, budget in (
             (["bounded", "3", "30", "1000000"], b"BOUNDED_WORK_BUDGET"),
             (["triangle", "height", "6", "--rows", "12"], b"TRIANGLE_WORK_BUDGET"),
-            (["triangle", "height", "2", "--rows", "126"], b"TRIANGLE_WORK_BUDGET"),
+            (["triangle", "height", "2", "--rows", "202"], b"TRIANGLE_WORK_BUDGET"),
             (["sswcn", "3", "3000"], b"LATTICE_WORK_BUDGET"),
             (["count", "3", "200000"], b"CATALAN_BITS_BUDGET"),
             (["enumerate", "6", "6"], b"ENUMERATE_PATH_BUDGET"),
             (["enumerate", "3", "40", "--bound", "4"], b"ENUMERATE_PATH_BUDGET"),
             (
-                ["oeis-check", "A001246", "rightmost:4", "--offline", "--terms", "21"],
+                ["oeis-check", "A001246", "rightmost:6", "--offline", "--terms", "13"],
                 b"TRIANGLE_WORK_BUDGET",
             ),
         )

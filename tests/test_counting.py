@@ -30,7 +30,7 @@ from sscat import (
 from sscat import counting, linrec
 from sscat.counting import _transfer_matrix
 from sscat.errors import InvalidPathError
-from sscat.paths import StepKind, lattice_sum
+from sscat.paths import StepKind, lattice_diagonal
 from sscat.periodicity import detect_eventual_period
 from tests.conftest import random_assignment
 
@@ -407,7 +407,7 @@ def bounded_lattice_mod(k, u, n, w, p):
         value = vector[None] * (w.b(g) if kind is StepKind.UP else w.c(g2))
         return ((None, value % p),)
 
-    return lattice_sum(k, n, {None: 1}, step, height_bound=u).get(None, 0) % p
+    return lattice_diagonal(k, n, {None: 1}, step, height_bound=u)[n].get(None, 0) % p
 
 
 @pytest.mark.parametrize("k,u,n", [(3, 30, 300), (3, 20, 400), (4, 24, 150)])

@@ -21,9 +21,7 @@ from sscat import (
     WeightMonomial,
     catalan_number,
     count_ss_peaks,
-    height_histogram,
     max_path_height,
-    peak_histogram,
     ss_height_path,
     ss_height_point,
     sswcn_lattice,
@@ -32,12 +30,13 @@ from sscat import (
     stat_histograms,
     verify_min_u_formulas,
 )
+from sscat.backend import height_histograms, peak_histograms
 from sscat.errors import TooLargeError
 from sscat.paths import (
     StepKind,
     ballot_successors,
     height_coefficients,
-    lattice_walk,
+    lattice_layers,
     step_class,
 )
 from tests.conftest import random_assignment
@@ -125,8 +124,8 @@ def test_ballot_successors():
 @pytest.mark.parametrize("k,n", SIZES)
 def test_histograms_match_enumeration(k, n):
     _, heights, peaks = oracle(k, n)
-    assert height_histogram(k, n) == heights
-    assert peak_histogram(k, n) == peaks
+    assert height_histograms(k, n)[n] == heights
+    assert peak_histograms(k, n)[n] == peaks
     assert stat_histograms(k, n) == (heights, peaks)
 
 
@@ -164,7 +163,7 @@ def test_zero_length_histograms():
 
 def test_lattice_needs_nonnegative_n():
     with pytest.raises(ValueError):
-        height_histogram(3, -1)
+        height_histograms(3, -1)
     with pytest.raises(ValueError):
         sswcn_lattice_value(3, -1)
 
@@ -185,8 +184,8 @@ def test_lattice_walk_hands_each_step_its_kind(k):
         seen.append((g2 - g, kind))
         return vector.items()
 
-    walked = lattice_walk(k, (0,) * k, (1,) * k, k, {None: 1}, step)
-    assert walked == {(1,) * k: {None: 1}}
+    layers = list(lattice_layers(k, (0,) * k, (1,) * k, {None: 1}, step))
+    assert len(layers) == k + 1 and layers[k] == {(1,) * k: (0, {None: 1})}
     rise = height_coefficients(k)
     assert seen == [(rise[d - 1], step_class(k, d)) for d in range(1, k + 1)]
     assert (StepKind.NEUTRAL in [kind for _, kind in seen]) == (k % 2 == 1)

@@ -25,6 +25,7 @@ from sscat import (
     verify_rightmost_entries,
 )
 from sscat.cli import main
+from sscat.paths import StepKind, lattice_diagonal, lattice_layers
 from tests.conftest import random_assignment
 
 # The bundled b-files A393573 (HEIGHT_ROWS_K3), A393594 (HEIGHT_ROWS_K4),
@@ -175,18 +176,19 @@ def test_verify_narayana_one_peak():
 
 
 # The true histograms at (3, 2) are heights {2: 1, 4: 4} and peaks
-# {0: 4, 1: 1}.  A count moved to a neighbouring height keeps the total,
-# so only the survival walk can catch it; a wrong total is caught first by
-# the Catalan number.  Each row asks `_histograms` for its own statistic
-# only: any other kind raises KeyError here.
+# {0: 4, 1: 1}; rows 0 and 1 are heights {0: 1}, {2: 1} and peaks {0: 1},
+# {0: 1}.  A count moved to a neighbouring height keeps the total, so only
+# the survival walk can catch it; a wrong total is caught first by the
+# Catalan number.  Each triangle asks `_histograms` for the rows 0..n of
+# its own statistic only: any other kind raises KeyError here.
 @pytest.mark.parametrize(
     "build, histograms, expected, actual",
     [
-        (narayana_row, {"narayana": {0: 1, 1: 3}}, 5, 4),
-        (height_triangle_row, {"height": {2: 1, 4: 3}}, 5, 4),
+        (narayana_row, {"narayana": [{0: 1}, {0: 1}, {0: 1, 1: 3}]}, 5, 4),
+        (height_triangle_row, {"height": [{0: 1}, {2: 1}, {2: 1, 4: 3}]}, 5, 4),
         (
             height_triangle_row,
-            {"height": {2: 1, 3: 1, 4: 3}},
+            {"height": [{0: 1}, {2: 1}, {2: 1, 3: 1, 4: 3}]},
             {2: 1, 4: 4},
             {2: 1, 3: 1, 4: 3},
         ),
@@ -204,24 +206,67 @@ def test_each_row_checks_its_histogram(monkeypatch, build, histograms, expected,
 
 
 @pytest.mark.parametrize(
-    "build, walks", [(height_triangle_row, 2), (narayana_row, 1)], ids=["height", "narayana"]
+    "kind, walks", [("height", 2), ("narayana", 1)], ids=["height", "narayana"]
 )
-def test_a_row_walks_the_lattice_once_per_statistic(monkeypatch, build, walks):
-    # A height row walks once for its histogram and once, carrying every
-    # height bound at once, for its check; a Narayana row walks once.
+def test_a_row_walks_the_lattice_once_per_statistic(monkeypatch, kind, walks):
+    # Rows 0..6 are read off one walk of the box [0, 6]^k per statistic: a
+    # height triangle walks once for its histograms and once, carrying
+    # every height bound at once, for its checks; a Narayana one walks once.
     from sscat import paths, triangles
 
     walked = []
-    original = paths.lattice_walk
+    original = paths.lattice_layers
 
-    def spy(k, start, top, length, seed, step, height_bound=None):
-        walked.append(seed)
-        return original(k, start, top, length, seed, step, height_bound)
+    def spy(k, start, top, seed, step, height_bound=None):
+        walked.append(top)
+        return original(k, start, top, seed, step, height_bound)
 
-    monkeypatch.setattr(paths, "lattice_walk", spy)
+    monkeypatch.setattr(paths, "lattice_layers", spy)
     triangles._histograms.cache_clear()
-    build(3, 4)
-    assert len(walked) == walks
+    rows = triangles.triangle_rows(kind, 3, range(7))
+    assert [row.n for row in rows] == list(range(7))
+    assert walked == [(6, 6, 6)] * walks
+
+
+def _row_in_its_own_box(k, n, seed, step, height_bound=None):
+    """Row n walked alone: the vector at the top corner of the box [0, n]^k."""
+    *_, last = lattice_layers(k, (0,) * k, (n,) * k, seed, step, height_bound)
+    return last.get((n,) * k, (0, {}))[1]
+
+
+def _running_max(vector, kind, g, g2):
+    return ((max(gmax, g2), c) for gmax, c in vector.items())
+
+
+def _peaks(vector, kind, g, g2):
+    return (
+        ((kind is StepKind.UP, peaks + (was_up and kind is StepKind.DOWN)), c)
+        for (was_up, peaks), c in vector.items()
+    )
+
+
+@pytest.mark.parametrize("k, last", [(2, 9), (3, 6), (4, 4), (5, 3), (6, 3)])
+def test_rows_read_off_the_diagonal_equal_rows_walked_in_their_own_box(k, last):
+    from sscat.triangles import triangle_rows
+
+    ns = range(last + 1)
+    heights = [_row_in_its_own_box(k, n, {0: 1}, _running_max) for n in ns]
+    assert lattice_diagonal(k, last, {0: 1}, _running_max) == heights
+    assert [row.entries for row in triangle_rows("height", k, ns)] == heights
+    peaks = []
+    for n in ns:
+        by_peaks = Counter()
+        for (_, count), c in _row_in_its_own_box(k, n, {(False, 0): 1}, _peaks).items():
+            by_peaks[count] += c
+        peaks.append(dict(by_peaks))
+    assert [row.entries for row in triangle_rows("narayana", k, ns)] == peaks
+    # below the height of the lowest path no row n >= 1 keeps a path; at
+    # it, each row keeps that one path
+    low = min_path_height(k)
+    for u, paths_left in ((low - 1, 0), (low, 1)):
+        bounded = [_row_in_its_own_box(k, n, {0: 1}, _running_max, u) for n in ns]
+        assert lattice_diagonal(k, last, {0: 1}, _running_max, u) == bounded
+        assert [sum(row.values()) for row in bounded[1:]] == [paths_left] * last
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)])
@@ -260,17 +305,17 @@ def test_triangle_commands_build_no_transfer_matrix(monkeypatch, capsys, tmp_pat
 
 
 def test_triangle_budget_counts_a_command_as_a_whole():
-    # Estimates only: no row is walked here.
+    # Estimates only: no row is walked here.  A command is charged for the
+    # one box of its last row, whatever rows it starts from.
     from sscat.triangles import _check_work
 
-    for k, rows in ((2, 62), (4, 8), (6, 7), (6, 8)):
+    for k, rows in ((2, 201), (3, 52), (4, 24), (6, 11)):
         _check_work("height", k, range(rows + 1))
-    for k, n in ((4, 6), (6, 7), (2, 126)):
-        _check_work("height", k, range(n, n + 1))
-    # every row of (2, 0..126) fits alone, but not the rows together
-    for argv in ((2, range(127)), (6, range(13)), (2, range(64))):
-        with pytest.raises(TooLargeError, match="TRIANGLE_WORK_BUDGET"):
-            _check_work("height", *argv)
+        _check_work("height", k, range(rows, rows + 1))
+    for k, rows in ((2, 202), (3, 53), (4, 25), (6, 12)):
+        for ns in (range(rows + 1), range(rows, rows + 1)):
+            with pytest.raises(TooLargeError, match="TRIANGLE_WORK_BUDGET"):
+                _check_work("height", k, ns)
 
 
 def test_height_rows_beyond_the_old_path_cap():
