@@ -17,7 +17,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "backend": "ACTIVE_BACKEND stat_histograms",
-        "counting": """DEFAULT_PATH_CAP StateSpace TransferMatrix bounded_sswcn_brute
+        "counting": """StateSpace TransferMatrix bounded_sswcn_brute
             bounded_sequence bounded_sswcn_dp build_state_space catalan_number
             legacy_wcn_brute max_path_height min_path_height sswcn_brute
             sswcn_lattice sswcn_lattice_value sub_sswcn_brute""",

@@ -124,14 +124,14 @@ def _emit(args, plain: str, payload) -> None:
 
 def _cmd_enumerate(args) -> int:
     """Print each path's steps as the DFS yields them, one write per path
-    from a template with one %d per step, after counting the paths against
-    `ENUMERATE_PATH_BUDGET`; the JSON form is written in pieces whose bytes
-    match `json.dumps` of the whole list."""
+    from a template with one %d per step, after charging the paths and
+    the points their walk holds; the JSON form is written in pieces whose
+    bytes match `json.dumps` of the whole list."""
     from .counting import _check_enumeration
     from .paths import enumerate_paths
 
-    paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
     _check_enumeration(args.k, args.n, args.bound)
+    paths = enumerate_paths(args.k, args.n, height_bound=args.bound)
     write = sys.stdout.write
     steps = args.k * args.n
     if args.format == "json":

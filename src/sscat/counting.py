@@ -7,10 +7,10 @@ symbolic step of `weights` or a numeric one.
 `bounded_sswcn_dp` and `bounded_sequence` read the counts a_n = e_0^T
 T^n e_0 of the S x S boundary-state transfer matrix T, whose entries the
 same DP sums over the k-step blocks from each state, found by one BFS,
-which charges its walk as it goes and stops past `STATE_WALK_BUDGET`.
+which charges its walk as it goes.
 A bound at or above the greatest height of a path of length k*n cannot
 bind, and `bounded_sswcn_dp` then sums the unbounded lattice DP where its
-budget admits it.  Counting routes walk the blocks with the numeric step
+charge admits it.  Counting routes walk the blocks with the numeric step
 at their weights, so none builds a polynomial; the symbolic entries, the
 same BFS with `weight_step`, are a test oracle.  Runs of fewer than
 `RECURRENCE_FROM` * S terms iterate the orbit gamma_n = T gamma_{n-1},
@@ -22,9 +22,9 @@ x^(n // 2) modulo the recurrence's characteristic polynomial, by
 square-and-multiply, in about log2(n) squarings.  A recurrence over the
 integers holds mod every m, so a modulus never chooses between the orbit
 and the recurrence: it reduces the orbit's vectors, or what the
-recurrence reads.  Every run estimates its work up front and refuses it
-past `BOUNDED_WORK_BUDGET`; a single residue whose squarings, of long
-products mod a long m, are estimated above the d-term sums runs those.
+recurrence reads.  Every run is charged up front (`errors.charge`); a
+single residue whose squarings, of long products mod a long m, are
+estimated above the d-term sums runs those.
 The `*_brute` functions, the test oracle, share one loop, `_brute_sum`,
 that sums weights over enumerated paths.  Wherever these routes overlap
 they agree exactly.
@@ -39,10 +39,12 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
+    COST,
     FormulaViolationError,
     InvalidDimensionError,
     InvalidStateError,
     TooLargeError,
+    charge,
 )
 from .paths import (
     BallotPath,
@@ -50,12 +52,14 @@ from .paths import (
     Step,
     StepKind,
     _Frozen,
+    charge_box,
     enumerate_paths,
     enumerate_sub_paths,
     is_ballot_point,
     lattice_diagonal,
     lattice_layers,
     ss_height_point,
+    walk_cost,
 )
 from .weights import (
     ALL_ONES,
@@ -68,17 +72,6 @@ from .weights import (
     weight_step,
 )
 
-DEFAULT_PATH_CAP = 10**7
-
-# Budget of `catalan_number`: the bits of (kn)!, estimated by Stirling's
-# series (`math.lgamma`) before any factorial is formed; the hook product,
-# taken over the shorter side, has fewer.  The division costs about the
-# square of the bits: `count 3 40000` (1.9e6 bits) takes about 1.4 s on a
-# 2-core VM with Python 3.11.  The budget admits n up to about 44,000 at
-# k = 3.
-CATALAN_BITS_BUDGET = 2**21
-
-
 def catalan_number(k: int, n: int) -> int:
     """The n-th k-dimensional Catalan number: the standard Young tableaux of
     the k x n rectangle, (kn)! over the product of its hook lengths.  The
@@ -86,22 +79,17 @@ def catalan_number(k: int, n: int) -> int:
     side: with r rows of c cells, r <= c, row i (0 <= i < r) has hooks
     i + 1, ..., i + c, whose product is (c+i)!/i!.
 
-    Accepts k >= 1 (the degenerate k=1 column is identically 1).  Raises
-    `TooLargeError` when (kn)! has more than `CATALAN_BITS_BUDGET` bits."""
+    Accepts k >= 1 (the degenerate k=1 column is identically 1).  Charged
+    before any factorial is formed for the division, which costs about the
+    square of the bits of (kn)!, estimated by Stirling's series
+    (`math.lgamma`); the hook product, over the shorter side, has fewer."""
     if k < 1 or n < 0:
         raise ValueError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
     if k == 1:
         return 1
-    # log2(m!) >= m for m >= 4, so the first test refuses every kn that
-    # math.lgamma could not take as a float.
-    if (
-        k * n > CATALAN_BITS_BUDGET
-        or math.lgamma(k * n + 1) / math.log(2) > CATALAN_BITS_BUDGET
-    ):
-        raise TooLargeError(
-            f"the Catalan number (k={k}, n={n}) needs more than "
-            f"CATALAN_BITS_BUDGET = {CATALAN_BITS_BUDGET} bits for (kn)!"
-        )
+    # past 2^60 every estimate is over the limit; the cut keeps it a float
+    bits = math.lgamma(min(k * n, 2**60) + 1) / math.log(2)
+    charge(f"the Catalan number (k={k}, n={n})", bits * bits * COST["factorial bit^2"])
     rows, cols = min(k, n), max(k, n)
     hooks = math.prod(math.perm(cols + i, cols) for i in range(rows))
     quotient, remainder = divmod(math.factorial(k * n), hooks)
@@ -115,60 +103,51 @@ def catalan_number(k: int, n: int) -> int:
     return quotient
 
 
-def _paths_over(k: int, n: int, cap: int) -> bool:
-    """Whether (k, n) has more than *cap* paths.  The count never
-    decreases in n, since appending the steps 1..k keeps a path balanced
-    and ballot, so the scan stops at the first m <= n over the cap (m <= 16
-    for every k >= 2 at the caps here) without the (kn)!-sized count."""
-    return any(catalan_number(k, m) > cap for m in range(n + 1))
+def _path_count(what: str, k: int, n: int, per_path: float) -> int:
+    """The paths of (k, n), charged as *what* at *per_path* seconds each.
+    The count never decreases in n, since appending the steps 1..k keeps a
+    path balanced and ballot, so the counts of m = 0..n are charged in
+    turn: the first one past the limit (m <= 16 for every k >= 2 at the
+    unit costs here) stops the scan without the (kn)!-sized count."""
+    paths = 1
+    for m in range(n + 1):
+        paths = catalan_number(k, m)
+        charge(what, min(paths, 2**200) * per_path)
+    return paths
 
 
 def _check_cap(k: int, n: int) -> None:
-    """Raise `TooLargeError` when (k, n) has more than `DEFAULT_PATH_CAP`
-    paths."""
+    """Charge the brute-force oracles at (k, n): each path is walked twice
+    (enumerated, then rebuilt as a `BallotPath` and weighed), as two pairs
+    of a walk per step."""
     if k < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
-    if _paths_over(k, n, DEFAULT_PATH_CAP):
-        raise TooLargeError(
-            f"(k={k}, n={n}) has more paths than the cap of {DEFAULT_PATH_CAP}"
-        )
-
-
-# Budget of `sscat enumerate`, counted before the first write: the steps
-# it prints, paths * kn, plus the coordinates of the points its DFS holds,
-# k for each point on a printed path, at most C(n + k, k) of them.  On a
-# 2-core VM with Python 3.11 a unit took 0.15-0.17 us, so the largest
-# admitted commands, `enumerate 4 5` and `enumerate 5 4` (1.66e6 paths of
-# 20 steps), took 5.1-5.7 s, and `enumerate 5791 1` (one path whose 5,792
-# points hold 3.4e7 coordinates) about 5.4 s and 306 MB.  `enumerate 2 14`
-# (7.5e7 steps) is refused; so is `enumerate 12000 1`, whose points would
-# fill more than 1 GB.
-ENUMERATE_PATH_BUDGET = 2**25
-
-
-def _enumeration_over(k: int, n: int, paths: int) -> bool:
-    """Whether *paths* paths of length kn pass `ENUMERATE_PATH_BUDGET`."""
-    steps = paths * k * n
-    budget = ENUMERATE_PATH_BUDGET
-    return steps > budget or steps + min(steps + 1, math.comb(n + k, k)) * k > budget
+    _path_count(f"brute force over the paths of (k={k}, n={n})", k, n, 2 * k * n * COST["edge"])
 
 
 def _check_enumeration(k: int, n: int, u: Optional[int] = None) -> None:
-    """Raise `TooLargeError` when `enumerate_paths(k, n, u)` passes
-    `ENUMERATE_PATH_BUDGET`, charged on the Catalan number of paths or,
-    when that passes it under a bound below the largest height, on the
-    count of the paths of height <= u."""
-    over = _paths_over(k, n, ENUMERATE_PATH_BUDGET) or _enumeration_over(
-        k, n, catalan_number(k, n)
-    )
-    if over and u is not None and u < max_path_height(k, n):
-        over = _enumeration_over(k, n, bounded_sswcn_dp(k, u, n))
-    if over:
-        bound = "" if u is None else f" of height <= {u}"
-        raise TooLargeError(
-            f"(k={k}, n={n}) needs more printed steps and held coordinates for "
-            f"its paths{bound} than ENUMERATE_PATH_BUDGET = {ENUMERATE_PATH_BUDGET}"
-        )
+    """Charge `sscat enumerate k n` (`--bound u`) before the first point
+    is built: the steps it prints, paths * kn, plus the coordinates of the
+    points its walk holds, k for each point on a printed path, at most
+    C(n + k, k) of them, in seconds and, at 8 bytes a coordinate and 56 a
+    point, in bytes.  One path's points are charged first.  The paths are
+    the Catalan number or, when that passes the limit under a bound below
+    the largest height, the count of the paths of height <= u."""
+    what = f"enumerating the paths of (k={k}, n={n})" + ("" if u is None else f" of height <= {u}")
+
+    def check(paths: int) -> None:
+        steps = paths * k * n
+        # one path's points are distinct points of the box
+        held = steps + 1 if paths == 1 else min(steps + 1, math.comb(n + k, k))
+        charge(what, min(steps + held * k, 2**200) * COST["printed step"], held * (8 * k + 56))
+
+    check(1)
+    try:
+        check(_path_count(what, k, n, k * n * COST["printed step"]))
+    except TooLargeError:
+        if u is None or u >= max_path_height(k, n):
+            raise
+        check(bounded_sswcn_dp(k, u, n))
 
 
 def _brute_sum(
@@ -213,42 +192,32 @@ def legacy_wcn_brute(k: int, n: int) -> WeightPolynomial:
 # Lattice DP over the ballot points of the box.
 
 
-# Budget of `sswcn_lattice`, in bytes of packed tags, charged before the
-# walk: the C(n + k, k) ballot points of the box times the 2H slots of w
-# bytes in each tag, for H the largest height plus 1.  It binds where few
-# paths carry wide tags, at n = 1 and large k, where printing decodes every
-# slot of each tag: on a 2-core VM with Python 3.11, `sswcn 644 1
-# --symbolic`, the largest k admitted at n = 1 (2.6e8 bytes), takes about
-# 4.6 s, `sswcn 700 1 --symbolic` (3.4e8) took 6.6 s, and `sswcn 1000 1
-# --symbolic` (1.0e9) ran past 20 s.
-SYMBOLIC_TAG_BUDGET = 2**28
-
-
 def sswcn_lattice(k: int, n: int, u: Optional[int] = None) -> WeightPolynomial:
     """Sum of semisymmetric weights over all balanced ballot paths of length
     k*n, restricted to height <= u when *u* is given, as a symbolic
     polynomial, by the layered DP with `weight_step` on packed tags, which
     the polynomial keeps.
 
-    Without *u*, more than `DEFAULT_PATH_CAP` paths raises `TooLargeError`,
-    and so does a walk whose tags pass `SYMBOLIC_TAG_BUDGET`.
-    Each path gives one monomial, so the path count bounds the terms; the
-    measured ratio is 0.2-0.7 for k >= 4 ((4, 5): 333,851 terms from
-    1,662,804 paths) and far lower for k = 2 ((2, 20): 524,288 terms from
-    6.6e9 paths).  On a 2-core VM with Python 3.11, `sswcn 4 5 --symbolic`
-    takes about 5 s and 140 MB.  Bounded calls skip the path cap:
-    `verify_min_u_formulas` asks for the two smallest bounds, where the sum
-    has a single term."""
-    if u is None:
-        _check_cap(k, n)
+    Charged before the walk over the box, each tag of 2H slots of w bytes
+    (H the largest height plus 1) passed over three times: made, hashed
+    and, to be printed, read as bytes.  Each path gives one monomial, so
+    the path count P bounds the terms, held at about 100 bytes plus the
+    tag's, each printed a slot at a time; the tags moved summed to at most
+    (k/2 + 1) P in every case measured, (4, 5), (5, 4), (6, 3), (7, 3) and
+    (10, 2) among them, and are charged as k P.  The terms are far fewer
+    than P for k = 2 ((2, 20): 524,288 terms from 6.6e9 paths).  Bounded
+    calls are charged one tag per pair instead: `verify_min_u_formulas`
+    asks for the two smallest bounds, where the sum has a single term."""
+    what = f"the symbolic lattice walk at (k={k}, n={n})"
     top = max_path_height(k, n) if u is None else min(u, max_path_height(k, n))
     fmt = TagFormat.for_walk(max(top, -1) + 1, k * n)
-    tag_bytes = math.comb(n + k, k) * 2 * fmt.heights * fmt.width
-    if tag_bytes > SYMBOLIC_TAG_BUDGET:
-        raise TooLargeError(
-            f"the symbolic walk at (k={k}, n={n}) carries {tag_bytes} bytes of tags, "
-            f"more than SYMBOLIC_TAG_BUDGET = {SYMBOLIC_TAG_BUDGET}"
-        )
+    tag_bits = 16 * fmt.heights * fmt.width
+    edges = charge_box(what, k, n, bits=3 * tag_bits)
+    if u is None:
+        per_term = k * (COST["tag"] + 3 * tag_bits * COST["bit"]) + 2 * fmt.heights * COST["tag"]
+        paths = _path_count(what, k, n, per_term)
+        seconds = walk_cost(k, edges, 0)[0] + min(paths, 2**200) * per_term
+        charge(what, seconds, paths * (100 + tag_bits // 8))
     return tag_polynomial(lattice_diagonal(k, n, {0: 1}, weight_step(fmt), u)[n], fmt)
 
 
@@ -256,7 +225,7 @@ def sswcn_lattice_value(
     k: int, n: int, w: WeightAssignment = ALL_ONES, modulus: Optional[int] = None
 ) -> int:
     """`sswcn_lattice` evaluated at the weights *w*, reduced mod *modulus*
-    after every step when given, refused past `LATTICE_WORK_BUDGET`."""
+    after every step when given, charged by `_check_lattice_work`."""
     _check_lattice_work(k, n, w, modulus)
     value = lattice_diagonal(k, n, {None: 1}, _value_step(w, modulus))[n][None]
     return value if modulus is None else value % modulus
@@ -290,38 +259,29 @@ def _blocks(k: int, u: int, a: Point, seed: dict, step: Step) -> dict[Point, dic
     return {tuple(c - y[-1] for c in y): vector for y, (_, vector) in walk.items()}
 
 
-# Budget of the state-space BFS: each state is charged k times the
-# endpoints of its blocks, as they are walked.  On a 2-core VM with Python
-# 3.11, walks of 10^5 units or more took 1.5-2.2 us per unit for k = 3 to
-# 12 (2.8 us at k = 2, u = 20,000), so the budget stands for about 2 s.
-# The largest walk of any test or benchmark job, (8, 60) with 99 states,
-# is charged 41,608; (10, 100), 363 states, 561,280 in about 1 s; and
-# (4, 200), 10,115 states, 1,236,836: refused.
-STATE_WALK_BUDGET = 2**20
-
-
 def _walk_states(k: int, u: int, seed: dict, step: Step) -> tuple[list[Point], list[dict]]:
     """One BFS from the all-zero state under normalized k-step blocks: the
     states in discovery order, all-zero first, then each level's new
     states in sorted order, and each state's `_blocks`, walked once.  The
-    keys of the blocks, and so the order, never depend on *step*.  A walk
-    charged past `STATE_WALK_BUDGET` raises `TooLargeError`."""
+    keys of the blocks, and so the order, never depend on *step*.  Before
+    each level the walk is charged for every state found so far, at the
+    mean pairs of the blocks walked, k per endpoint (1-1.3 k measured from
+    k = 3 to 12): the first level, one state, only for its k-long tables."""
     if u < 0:
         raise ValueError(f"height bound must be >= 0, got {u}")
+    what = f"the transfer-matrix walk at (k={k}, u={u})"
+    charge(what, *walk_cost(k, 0, 0))  # before the all-zero state is built
     states = [(0,) * k]
     known = set(states)
     rows: list[dict[Point, dict]] = []
-    charge = 0
+    edges = 0
     while len(rows) < len(states):
+        estimate = edges * len(states) // max(len(rows), 1)
+        charge(f"{what}, past {len(states)} states,", *walk_cost(k, estimate, estimate))
         level = states[len(rows) :]
         for state in level:
             rows.append(_blocks(k, u, state, seed, step))
-            charge += k * len(rows[-1])
-            if charge > STATE_WALK_BUDGET:
-                raise TooLargeError(
-                    f"the transfer matrix at (k={k}, u={u}) has at least {len(states)} "
-                    f"states, whose walk passes STATE_WALK_BUDGET = {STATE_WALK_BUDGET}"
-                )
+            edges += k * len(rows[-1])
         new = sorted({s for row in rows[-len(level) :] for s in row}.difference(known))
         for s in new:
             if s[-1] != 0 or ss_height_point(s) > u:
@@ -440,71 +400,42 @@ def _orbit(
 # orbit steps it saves.
 RECURRENCE_FROM = 4
 
-# Budget of `sswcn_lattice_value`: the C(n + k, k) ballot points of the
-# box, k successors each, times what a step costs in big-integer bits: its
-# product of a value by a weight, the value's bits times the weight's
-# 30-bit digits, plus LATTICE_STEP_BITS for its dict and generator work.
-# On a 2-core VM with Python 3.11 a step at all-ones weights takes 1-2.4
-# us, and the largest admitted runs, such as `sswcn 3 123` (1.7e10), take
-# up to about 2 s; `sswcn 3 3000` estimates 5.9e14.
-LATTICE_STEP_BITS = 2**14
-LATTICE_WORK_BUDGET = 2**34
-
 
 def _check_lattice_work(k: int, n: int, w: WeightAssignment, modulus: Optional[int]) -> None:
-    """Raise `TooLargeError` when the numeric lattice DP at (k, n) passes
-    `LATTICE_WORK_BUDGET`, estimated before any walk.  A value sums at most
-    k^(kn) walks, each a product of kn weights; a modulus reduces every
-    product of a weight and a residue."""
-    if k < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    """Charge the numeric lattice DP at (k, n) before any walk: one tag per
+    point, whose product by a weight costs the value's bits times the
+    weight's 30-bit digits.  A value sums at most k^(kn) walks, each a
+    product of kn weights; a modulus reduces every product of a weight and
+    a residue."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     weight_bits = max(map(abs, (*w.b_prefix, w.b_fill, *w.c_prefix, w.c_fill))).bit_length()
     bits = k * n * (weight_bits + k.bit_length())
     if modulus is not None:
         bits = min(bits, modulus.bit_length() + weight_bits)
-    per_point = k * (bits * (max(weight_bits, 30) // 30) + LATTICE_STEP_BITS)
-    # The box has at least n + 1 points; the first test keeps math.comb
-    # from sizes it could not finish.
-    if (
-        per_point * (n + 1) > LATTICE_WORK_BUDGET
-        or per_point * math.comb(n + k, k) > LATTICE_WORK_BUDGET
-    ):
-        raise TooLargeError(
-            f"the numeric lattice DP (k={k}, n={n}) passes LATTICE_WORK_BUDGET "
-            f"= {LATTICE_WORK_BUDGET} step-bits"
-        )
+    what = f"the numeric lattice walk at (k={k}, n={n})"
+    charge_box(what, k, n, bits=bits * (max(weight_bits, 30) // 30))
 
 
-# Budget of one bounded run, in term-bits, estimated before any step.  A
-# run of every count up to n is charged the terms summed per step (the
-# recurrence's order, at most S, or the orbit's nonzeros) times the bits
-# of every count up to n, bounded up front as bits(a_i) <= i * bits(R) + 1,
-# R the largest absolute row sum of the evaluated matrix, or by bits(m) for
-# residues mod m.  Such runs took 90-230 ps per term-bit on a 2-core VM
-# with Python 3.11, so the budget stands for 10-30 s.  A single exact
-# count on the recurrence route is charged its squarings, which the last
-# one outweighs: its operand packs d <= S slots of bits(a_n) bits, N bits
-# in all, and it took 23-44 ps per N^1.5 for S = 5 to 46, so the jump is
-# charged N^1.5 / 4, 92-176 ps per term-bit.  `bounded 3 30 40000`
-# estimates 7.0e9 and took 1.1 s in-process; n = 290,000, just inside
-# the budget, took 23 s.  A single residue on the recurrence route is
-# charged, for each bit of n, 2 S^2 products mod m (a squaring and its
-# reduction, d <= S), each PRODUCT_BITS plus bits(m)^2 / 64 for the
-# digits of a long product and its division: measured at 10-380 ps per
-# term-bit for S = 10, 46 and 86 and m of 20 to 13,288 bits, 1.2-1.7
-# times the d-term loop at most.  Where the loop's charge is less than
-# the jump's (a long m and a short run, or large weights and n near 4S),
-# the loop runs, so a single count never costs more than the loop did.
-BOUNDED_WORK_BUDGET = 2**37
-
-# The least work a count is charged per product, in term-bits: one product
-# of small integers costs what big-integer sums cost per PRODUCT_BITS bits.
-# Measured at (k, u) = (3, 30) on a 2-core VM with Python 3.11: a d-term
-# loop mod 1000003 took 47-115 ns per product, and the exact loop to
-# `bounded 3 30 16000` 124-188 ps per estimated term-bit.
-PRODUCT_BITS = 2**9
+# A bounded run is charged before any step.  A run of every count up to n
+# is charged the terms summed per step (the recurrence's order, at most S,
+# or the orbit's nonzeros) times the bits of every count up to n, bounded
+# up front as bits(a_i) <= i * bits(R) + 1, R the largest absolute row sum
+# of the evaluated matrix, or by bits(m) for residues mod m, and at least
+# one small product per term; such runs took 90-230 ps per term-bit, and a
+# d-term loop mod 1000003 47-115 ns per product, on a 2-core VM with
+# Python 3.11.  A single exact count on the recurrence route is charged
+# its squarings, which the last one outweighs: its operand packs d <= S
+# slots of bits(a_n) bits, N bits in all, and it took 23-44 ps per N^1.5
+# for S = 5 to 46, so the jump is charged N^1.5 / 4 term-bits.  A single
+# residue on the recurrence route is charged, for each bit of n, 2 S^2
+# products mod m (a squaring and its reduction, d <= S), each one small
+# product plus bits(m)^2 / 64 term-bits for the digits of a long product
+# and its division: measured at 10-380 ps per term-bit for S = 10, 46 and
+# 86 and m of 20 to 13,288 bits, 1.2-1.7 times the d-term loop at most.
+# Where the loop's charge is less than the jump's (a long m and a short
+# run, or large weights and n near 4S), the loop runs, so a single count
+# never costs more than the loop did.
 
 
 def _plan(
@@ -518,8 +449,7 @@ def _plan(
     the primes can hold its coefficients: its roots are eigenvalues of T,
     at most R in absolute value, so no coefficient exceeds (1 + R)^S.  A
     single count on it jumps, unless its jump is charged more than the
-    loop, which then runs.  A run whose estimated work passes
-    `BOUNDED_WORK_BUDGET` raises `TooLargeError`."""
+    loop, which then runs.  The run is charged before any step."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     rows = _transfer_matrix(k, u).evaluated(w)
@@ -534,24 +464,21 @@ def _plan(
     bits = growth.bit_length() * stop * (stop - 1) // 2 + stop
     if modulus is not None:
         bits = min(bits, modulus.bit_length() * stop)
-    work = width * max(bits, PRODUCT_BITS * stop)
+    # past 2^200 every estimate is over the limit; the cut keeps it a float
+    term_bit, product = COST["term bit"], COST["product"]
+    seconds = width * max(min(bits, 2**200) * term_bit, min(stop, 2**200) * product)
     route = "loop" if recurrence else "orbit"
     if recurrence and single:
         if modulus is None:
             # the last squaring's operand: S slots of bits(a_n) each
-            operand = size * growth.bit_length() * stop
-            jump = operand * math.isqrt(operand) // 4
+            operand = min(size * growth.bit_length() * stop, 2**200)
+            jump = operand * math.isqrt(operand) // 4 * term_bit
         else:
-            product = PRODUCT_BITS + modulus.bit_length() ** 2 // 64
-            jump = 2 * size * size * (stop - 1).bit_length() * product
-        route, work = ("jump", jump) if jump < work else ("loop", work)
-    if work > BOUNDED_WORK_BUDGET:
-        residues = "" if modulus is None else f" mod {_shown(modulus)}"
-        raise TooLargeError(
-            f"bounded counts for (k={k}, u={u}) up to n={_shown(stop - 1)}{residues} "
-            f"need an estimated {_shown(work)} term-bits, over BOUNDED_WORK_BUDGET "
-            f"= {BOUNDED_WORK_BUDGET}"
-        )
+            squarings = 2 * size * size * (stop - 1).bit_length()
+            jump = squarings * (product + modulus.bit_length() ** 2 // 64 * term_bit)
+        route, seconds = ("jump", jump) if jump < seconds else ("loop", seconds)
+    residues = "" if modulus is None else f" mod {_shown(modulus)}"
+    charge(f"the bounded run at (k={k}, u={u}) up to n={_shown(stop - 1)}{residues}", seconds)
     return rows, route
 
 
@@ -590,7 +517,7 @@ def bounded_sswcn_dp(
     """The u-bounded weighted count of length k*n (mod *modulus* when
     given).  Where no path of that length is higher than u, the bound
     cannot bind: the unbounded `sswcn_lattice_value`, when
-    `LATTICE_WORK_BUDGET` admits it.  Otherwise component 0 of gamma_n
+    its charge admits it.  Otherwise component 0 of gamma_n
     on a short run, or the last of `_recurrence_counts`, on the route
     `_plan` picks."""
     if n < 0:

@@ -30,16 +30,54 @@ class InvalidStateError(SscatError):
 
 
 class TooLargeError(SscatError):
-    """A computation would pass a fixed budget: the paths of the brute-force
-    oracles and `sswcn_lattice` (`DEFAULT_PATH_CAP`), the tag bytes of a
-    symbolic lattice walk (`SYMBOLIC_TAG_BUDGET`), the period search's work
-    and baby steps (`PERIOD_SEARCH_BUDGET`, `PERIOD_TABLE_LIMIT`), the
-    states of a transfer matrix's walk (`STATE_WALK_BUDGET`), the estimated
-    work of a bounded count (`BOUNDED_WORK_BUDGET`), of a triangle's box
-    (`TRIANGLE_WORK_BUDGET`) or of a numeric lattice count
-    (`LATTICE_WORK_BUDGET`), what `sscat enumerate` would print and hold
-    (`ENUMERATE_PATH_BUDGET`), or the bits of (kn)! in a Catalan number
-    (`CATALAN_BITS_BUDGET`)."""
+    """A computation's estimated seconds or bytes pass `TIME_LIMIT_S` or
+    `MEMORY_LIMIT_BYTES`; only `charge` raises it."""
+
+
+# The one cost model.  Every route that can refuse an input estimates, before
+# the work it prices, its seconds from the unit costs of `COST` (and its
+# bytes, where it holds much), and calls `charge`.  The limits: a refused
+# input exits 2 at once, and the slowest admitted input of each route takes
+# about 1-3 s of CPU on a 2-core VM with Python 3.11.
+TIME_LIMIT_S = 2.0
+MEMORY_LIMIT_BYTES = 2**29
+
+# Seconds per unit, each measured on that VM (the README lists the fits).
+COST = {
+    # one (point, successor) pair of a walk: the successor test, the new
+    # point and its dict slot; a brute-force oracle pays two per path step
+    "edge": 1.5e-6,
+    # one coordinate copied into a new point
+    "coordinate": 66e-9,
+    # one tag moved along a pair, plus its integers' bits
+    "tag": 50e-9,
+    "bit": 60e-12,
+    # one step printed by `sscat enumerate`, or one coordinate of a point
+    # its walk holds
+    "printed step": 170e-9,
+    # the division of (kn)! by the hooks, per squared bit of (kn)!
+    "factorial bit^2": 0.4e-12,
+    # one bit of a big-integer sum or product in a bounded count, and one
+    # product of small integers (at least 2^9 such bits)
+    "term bit": 2.3e-10,
+    "product": 1.2e-7,
+}
+
+
+def charge(what: str, seconds: float = 0.0, nbytes: int = 0) -> None:
+    """Raise `TooLargeError`, naming *what*, its estimate and the limit,
+    when *seconds* passes `TIME_LIMIT_S` or *nbytes* passes
+    `MEMORY_LIMIT_BYTES`."""
+    if seconds > TIME_LIMIT_S:
+        raise TooLargeError(
+            f"{what} needs an estimated {seconds:.3g} s, over the {TIME_LIMIT_S:g} s limit"
+        )
+    if nbytes > MEMORY_LIMIT_BYTES:
+        shown = f"{nbytes / 2**20:.4g}" if nbytes < 2**1000 else f"~2^{nbytes.bit_length() - 21}"
+        raise TooLargeError(
+            f"{what} needs an estimated {shown} MB, over the "
+            f"{MEMORY_LIMIT_BYTES >> 20} MB limit"
+        )
 
 
 class InvalidTableauError(SscatError):

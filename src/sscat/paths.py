@@ -7,7 +7,8 @@ enumerating them.  Its layers are read at the diagonal points of the box
 (`lattice_diagonal`), and at layer k for the k-step blocks of the
 transfer matrix.  Both walks start from `ss_height_point`, and the DP
 hands each step its `StepKind`, so callers never re-derive the
-up/neutral/down split from a direction.
+up/neutral/down split from a direction.  Every DP walk is priced before
+it starts by `walk_cost`, the box [0, n]^k by `charge_box`.
 
 A *ballot point* in dimension k is a tuple with weakly decreasing
 nonnegative coordinates.  A *balanced ballot path* of length k*n starts at
@@ -25,16 +26,19 @@ rebuild from those tuples.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    COST,
     InvalidDimensionError,
     InvalidDirectionError,
     InvalidEndpointError,
     InvalidPathError,
     OutOfBoxError,
+    charge,
 )
 
 Point = tuple[int, ...]
@@ -277,6 +281,34 @@ def lattice_layers(
                 for tag, coeff in step(vector, kinds[d - 1], g, g2):
                     target[tag] = target.get(tag, 0) + coeff
         layer = following
+
+
+def walk_cost(k: int, edges: int, tag_steps: int, bits: int = 0) -> tuple[float, int]:
+    """The estimated (seconds, bytes) of a `lattice_layers` walk in
+    dimension k over *edges* (point, successor) pairs, along which tags of
+    *bits* bits move *tag_steps* times in all: points x successors x tags
+    per point x the cost of a tag.  The walk first sets up each of the k
+    directions, about one pair's work each; each pair then copies a point
+    of k coordinates.  The bytes are those of the k-long tables and of one
+    point, 52 per coordinate, built before the first step."""
+    # past 2^200 every estimate is over the limit; the cut keeps it a float
+    edges, tag_steps, bits = (min(x, 2**200) for x in (edges, tag_steps, bits))
+    seconds = (k + edges) * COST["edge"] + edges * k * COST["coordinate"]
+    return seconds + tag_steps * (COST["tag"] + bits * COST["bit"]), 52 * k
+
+
+def charge_box(what: str, k: int, n: int, tags: int = 1, bits: int = 0) -> int:
+    """Charge, as *what*, the walk of the box [0, n]^k whose points each
+    carry *tags* tags of *bits* bits, and return its pairs: C(n + k, k)
+    points times kn / (n + k) successors on average, k C(n + k - 1, k).
+    It is first charged for the kn pairs of one path, fewer, which keeps
+    math.comb from sizes it could not finish."""
+    if k < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    charge(what, *walk_cost(k, k * n, k * n * tags, bits))
+    edges = k * math.comb(n + k - 1, k) if n > 0 else 0
+    charge(what, *walk_cost(k, edges, edges * tags, bits))
+    return edges
 
 
 def lattice_diagonal(

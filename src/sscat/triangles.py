@@ -4,11 +4,11 @@ The height triangle counts balanced ballot paths by their maximum
 semisymmetric height; the Narayana triangle counts them by the number of
 semisymmetric peaks (an up-step immediately followed by a down-step).
 Rows 0..N are read off the diagonal of one lattice walk over the ballot
-points of the box [0, N]^k, for the statistic they print, refused past
-`TRIANGLE_WORK_BUDGET` before any walk.  Every row is checked against the
-Catalan number; a height row is also checked against the successive
-differences of the height-bounded counts, which a second walk of the
-same box carries for every bound u at once.  Path enumeration and the
+points of the box [0, N]^k, for the statistic they print, charged before
+any walk.  Every row is checked against the Catalan number; a height row
+is also checked against the successive differences of the height-bounded
+counts, which a second walk of the same box carries for every bound u at
+once.  Path enumeration and the
 differences of bounded transfer-matrix counts are the test oracles.
 """
 
@@ -28,8 +28,8 @@ from .counting import (
     min_path_height,
     sswcn_lattice,
 )
-from .errors import FormulaViolationError, InvalidDimensionError, TooLargeError
-from .paths import lattice_diagonal
+from .errors import FormulaViolationError, charge
+from .paths import charge_box, lattice_diagonal, walk_cost
 from .weights import ALL_ONES, WeightAssignment, WeightMonomial, WeightPolynomial
 
 HEIGHT_TRIANGLE = "height"
@@ -57,32 +57,16 @@ class TriangleRow(NamedTuple):
         }
 
 
-# Budget of a triangle, charged for the one box [0, N]^k of its last row
-# N before any walk: its C(N + k, k) ballot points, each with at most k
-# successors, times the 2(H + 1) tags a point carries over the triangle's
-# walks, H = max_path_height(k, N): H + 1 running maxima and H + 1
-# survival counts, or at most 2(H + 1) (last step up, peaks) pairs.  On a
-# 2-core VM with Python 3.11 the largest admitted triangles take 1.5-1.8 s
-# at k = 2, (2, 201), whose counts grow longest, and 0.1-1.2 s at k = 3..12.
-TRIANGLE_WORK_BUDGET = 2**24
-
-
 def _check_work(kind: str, k: int, ns: range) -> None:
-    """Raise `TooLargeError` when the walks of the *kind* rows in *ns*,
-    one box for them all, pass `TRIANGLE_WORK_BUDGET`: its tag-steps plus
-    the k step kinds each of two walks lists first.  Once one point's tags
-    pass the budget the points are not counted, nor math.comb called."""
-    if k < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {k}")
+    """Charge the walks of the *kind* rows in *ns*, one box [0, N]^k for
+    them all, N the last row: its points carry 2(H + 1) tags over the
+    triangle's walks, H = max_path_height(k, N), H + 1 running maxima and
+    H + 1 survival counts, or at most 2(H + 1) (last step up, peaks) pairs,
+    each a count of at most kN bits(k) + 1 bits."""
     n = ns[-1]
-    per_point = 2 * k * (max_path_height(k, n) + 1)
-    points = math.comb(n + k, k) if per_point <= TRIANGLE_WORK_BUDGET else 1
-    if per_point * points + 2 * k > TRIANGLE_WORK_BUDGET:
-        rows = f"n={ns.start}" if len(ns) == 1 else f"n={ns.start}..{n}"
-        raise TooLargeError(
-            f"the {kind} triangle (k={k}, {rows}) passes TRIANGLE_WORK_BUDGET "
-            f"= {TRIANGLE_WORK_BUDGET} tag-steps"
-        )
+    rows = f"n={ns.start}" if len(ns) == 1 else f"n={ns.start}..{n}"
+    tags = 2 * (max_path_height(k, n) + 1)
+    charge_box(f"the {kind} triangle (k={k}, {rows})", k, n, tags, k * n * k.bit_length() + 1)
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +94,9 @@ def _height_differences(k: int, n: int) -> list[dict[int, int]]:
 
 def triangle_rows(kind: str, k: int, ns: range) -> list[TriangleRow]:
     """The rows n in *ns* of the *kind* triangle, from one walk per
-    statistic of the box of the last row, refused as a whole past
-    `TRIANGLE_WORK_BUDGET` before any walk.  Each row is checked to sum to
-    the Catalan number, and a height row also against the survival counts."""
+    statistic of the box of the last row, charged as a whole before any
+    walk.  Each row is checked to sum to the Catalan number, and a height
+    row also against the survival counts."""
     _check_work(kind, k, ns)
     histograms = _histograms(kind, k, ns[-1])
     differences = _height_differences(k, ns[-1]) if kind == HEIGHT_TRIANGLE else None
@@ -402,21 +386,30 @@ def scan_power_of_two(k_max: int, u_max: int, n_max: int) -> list[tuple[int, int
 
     Each (k, u) is dropped when its counts c_1 and c_2 (those with
     n <= n_max), read from one height-bounded lattice walk, are not
-    2^(n-1); only the survivors build a transfer matrix, under its
-    budget, for the whole sequence."""
+    2^(n-1); only the survivors build a transfer matrix, each charged on
+    its own, for the whole sequence.  The walks of the pairs are charged
+    first, k by k, each as its unbounded box."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    powers = [2 ** (n - 1) for n in range(1, n_max + 1)]
     first = min(n_max, 2)
-    step = _value_step(ALL_ONES, None)
-    hits = []
+    what = f"the scan-pow2 prefilter at (k <= {k_max}, u <= {u_max})"
+    seconds, ks = 0.0, []
     for k in range(2, k_max + 1):
         if min_path_height(k) > u_max:  # and so for every larger k
             break
+        edges = k * math.comb(first + k - 1, k)
+        walk = walk_cost(k, edges, edges)
+        seconds += min(u_max + 1 - min_path_height(k), 2**200) * walk[0]
+        charge(what, seconds, walk[1])
+        ks.append(k)
+    step = _value_step(ALL_ONES, None)
+    hits = []
+    for k in ks:
         for u in range(min_path_height(k), u_max + 1):
             counts = lattice_diagonal(k, first, {None: 1}, step, height_bound=u)[1:]
-            if [c.get(None, 0) for c in counts] == powers[:first]:
-                if bounded_sequence(k, u, n_max + 1)[1:] == powers:
+            if [c.get(None, 0) for c in counts] == [1, 2][:first]:
+                sequence = bounded_sequence(k, u, n_max + 1)[1:]
+                if all(c == 1 << n for n, c in enumerate(sequence)):
                     hits.append((k, u))
     return hits
 

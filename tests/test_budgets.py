@@ -25,6 +25,10 @@ CASES = [
     ("scan-pow2 --k-max 14 --u-max 80", 0),
     # no k past 17 has a path of height <= 80
     ("scan-pow2 --k-max 1000000000 --u-max 80", 0),
+    # the prefilter's walks are charged before the first, and only the
+    # powers of two compared are built
+    ("scan-pow2 --k-max 3 --u-max 10000000 --n-max 2", 2),
+    ("scan-pow2 --k-max 3 --u-max 5 --n-max 10000000", 2),
     ("enumerate 6 10 --bound 45", 2),
     ("sswcn 3 3000", 2),
     ("sswcn 6 40", 2),
@@ -35,11 +39,25 @@ CASES = [
     ("count 100000 0", 0),
     # the weight step makes one power of 256 per step, not a table of them
     ("sswcn 300 1 --symbolic", 0),
-    # one path, but 1,001 tags of 1 MB each, whose printing decodes every slot
-    ("sswcn 1000 1 --symbolic", 2),
+    # Each route's last input inside the limit is pinned at its estimator
+    # in the unit tests; the first input outside it is refused here.
+    # One path, but k + 1 tags of about 1 MB each, each made, hashed and
+    # read as bytes: k = 1,094 is the last inside the limit
+    ("sswcn 1000 1 --symbolic", 0),
+    ("sswcn 1095 1 --symbolic", 2),
     # one path whose points, 12,001 tuples of 12,000 coordinates, would
-    # fill more than the 1 GiB limit
+    # fill more than the 1 GiB limit; 3,428 fit, 3,429 do not
     ("enumerate 12000 1", 2),
+    ("enumerate 3429 1", 2),
+    # the k-coordinate points are charged before the first is built
+    ("enumerate 100000000 1", 2),
+    ("bounded 100000000 4 2", 2),
+    ("period 100000000 4 --mod 2", 2),
+    ("bounded 100000 4 2", 0),
+    # the Catalan number's division, just outside the limit (47,538 is in)
+    ("count 3 47539", 2),
+    # the numeric lattice walk, just outside the limit (n = 129 is in)
+    ("sswcn 3 130", 2),
     # single counts from x^(n // 2) modulo the proved recurrence
     ("bounded 3 30 16000", 0),
     ("bounded 3 30 5000000 --mod 1000003", 0),
@@ -52,28 +70,36 @@ CASES = [
     # the bound cannot bind: the count is sswcn 10 5's, by the lattice DP
     ("bounded 10 200 5", 0),
     ("bounded 10 125 5", 0),
-    # past LATTICE_WORK_BUDGET, the transfer matrix at (4, 2000) has far
-    # more states than STATE_WALK_BUDGET lets its walk find
+    # past the limit of the lattice walk, the transfer matrix at (4, 2000)
+    # has far more states than the limit lets its walk find
     ("bounded 4 2000 400", 2),
-    # a single exact count is charged by the squarings of its jump
+    # a single exact count is charged by the squarings of its jump; n =
+    # 46,331 is the last inside the limit
     ("bounded 3 30 40000", 0),
-    # a triangle is charged for the one box of its last row, just inside
-    # TRIANGLE_WORK_BUDGET and just outside it
+    ("bounded 3 30 46332", 2),
+    # a triangle is charged for the one box of its last row; the edges of
+    # the old work budget, (2, 201/202) and (4, 24/25), are now inside,
+    # and the new ones are (2, 211) and (4, 27)
     ("triangle height 2 --rows 201", 0),
-    ("triangle height 2 --rows 202", 2),
+    ("triangle height 2 --rows 202", 0),
+    ("triangle height 2 --rows 212", 2),
     ("triangle height 4 --rows 24", 0),
-    ("triangle height 4 --rows 25", 2),
-    # row 0 has one point, but each walk first lists the k step kinds
+    ("triangle height 4 --rows 25", 0),
+    ("triangle height 4 --rows 28", 2),
+    # row 0 has one point, but each walk first sets up the k step kinds,
+    # at most 1,333,333 of them
+    ("triangle height 1333334 --rows 0", 2),
     ("triangle height 4194305 --rows 0", 2),
 ]
-# A single residue is charged 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
-# of n, 2 * 46^2 * (512 + 1806) for n of 14,000 bits mod an m of 340 bits:
-# just inside the budget, and one bit more of m is just outside.  Weights
-# that vanish above height 2 keep these walks low, so the recurrence has
-# order 2, not 46, and the run inside ends at once.
+# A single residue is charged 2 S^2 products mod m per bit of n, each one
+# small product plus bits(m)^2 // 64 term-bits, 2 * 46^2 * 1001 of them
+# for n of 1,001 bits: an m of 313 bits is just inside the limit, and one
+# bit more is just outside.  Weights that vanish above height 2 keep these
+# walks low, so the recurrence has order 2, not 46, and the run inside
+# ends at once.
 CASES += [
-    (f"bounded 3 30 {2**13999} --mod {2**339 + 1} --b 1,1,1,fill=0", 0),
-    (f"bounded 3 30 {2**13999} --mod {2**340 + 1} --b 1,1,1,fill=0", 2),
+    (f"bounded 3 30 {2**1000} --mod {2**312 + 1} --b 1,1,1,fill=0", 0),
+    (f"bounded 3 30 {2**1000} --mod {2**313 + 1} --b 1,1,1,fill=0", 2),
 ]
 
 
@@ -108,13 +134,14 @@ def test_command_ends_in_an_answer_or_a_refusal(command, code):
     assert b"Traceback" not in done.stderr
     if code == 2:
         assert done.stdout == b""
+        assert b"needs an estimated" in done.stderr, done.stderr
     if command.startswith("triangle") and code == 2:
-        assert b"TRIANGLE_WORK_BUDGET" in done.stderr
-    if command.startswith("count"):
+        assert b"error: the height triangle" in done.stderr
+    if command in ("count 20000 1", "count 100000 0"):
         assert done.stdout == b"1\n"
-    if command.startswith("bounded 10"):
+    if command.split()[:2] == ["bounded", "10"]:
         assert done.stdout == b"232553551737813227594400\n"  # sswcn 10 5
-    if command.startswith("scan-pow2"):
+    if command.startswith("scan-pow2") and code == 0:
         lines = done.stdout.decode().splitlines()
         assert lines == [f"k={k} u={u}" for k, u in POW2_HITS]
 

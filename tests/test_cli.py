@@ -389,20 +389,20 @@ def test_a_file_that_cannot_be_read_is_not_an_output_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, budget",
+    "argv, route",
     [
-        pytest.param(argv, budget, id=" ".join(argv))
-        for argv, budget in (
-            (["bounded", "3", "30", "1000000"], b"BOUNDED_WORK_BUDGET"),
-            (["triangle", "height", "6", "--rows", "12"], b"TRIANGLE_WORK_BUDGET"),
-            (["triangle", "height", "2", "--rows", "202"], b"TRIANGLE_WORK_BUDGET"),
-            (["sswcn", "3", "3000"], b"LATTICE_WORK_BUDGET"),
-            (["count", "3", "200000"], b"CATALAN_BITS_BUDGET"),
-            (["enumerate", "6", "6"], b"ENUMERATE_PATH_BUDGET"),
-            (["enumerate", "3", "40", "--bound", "4"], b"ENUMERATE_PATH_BUDGET"),
+        pytest.param(argv, route, id=" ".join(argv))
+        for argv, route in (
+            (["bounded", "3", "30", "1000000"], b"the bounded run at (k=3, u=30)"),
+            (["triangle", "height", "6", "--rows", "14"], b"the height triangle (k=6"),
+            (["triangle", "height", "2", "--rows", "212"], b"the height triangle (k=2"),
+            (["sswcn", "3", "3000"], b"the numeric lattice walk at (k=3, n=3000)"),
+            (["count", "3", "200000"], b"the Catalan number (k=3, n=200000)"),
+            (["enumerate", "6", "6"], b"enumerating the paths of (k=6, n=6)"),
+            (["enumerate", "3", "40", "--bound", "4"], b"of height <= 4"),
             (
-                ["oeis-check", "A001246", "rightmost:6", "--offline", "--terms", "13"],
-                b"TRIANGLE_WORK_BUDGET",
+                ["oeis-check", "A001246", "rightmost:6", "--offline", "--terms", "14"],
+                b"the height triangle (k=6",
             ),
         )
     ]
@@ -410,12 +410,12 @@ def test_a_file_that_cannot_be_read_is_not_an_output_error(capsys, monkeypatch):
         # a single residue is charged per bit of n, and more for a long m
         pytest.param(
             ["bounded", "3", "30", str(2**13999), "--mod", str(2**340)],
-            b"BOUNDED_WORK_BUDGET",
+            b"the bounded run at (k=3, u=30)",
             id="bounded 3 30 2^13999 --mod 2^340",
         )
     ],
 )
-def test_exact_bounded_past_its_budget_exits_2_at_once(argv, budget):
+def test_exact_bounded_past_its_budget_exits_2_at_once(argv, route):
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
 
@@ -432,7 +432,7 @@ def test_exact_bounded_past_its_budget_exits_2_at_once(argv, budget):
     )
     assert time.monotonic() - start < 5
     assert done.returncode == 2 and done.stdout == b""
-    assert budget in done.stderr
+    assert route in done.stderr and b"over the 2 s limit" in done.stderr
 
 
 def test_sswcn_symbolic_and_numeric(capsys):
@@ -465,12 +465,13 @@ def test_sswcn_symbolic_json_prints_each_term_as_it_is_made(capsys, monkeypatch)
 
 
 def test_sswcn_symbolic_refuses_past_the_path_cap(capsys):
-    # the cap is decided without the path count, which at these sizes has
+    # the walk is refused without the path count, which at these sizes has
     # thousands of digits
     for k, n in ((3, 2500), (3, 3100), (3, 32000), (2, 200000)):
         code, out, err = run(capsys, "sswcn", str(k), str(n), "--symbolic")
         assert code == 2 and not out
-        assert err == f"error: (k={k}, n={n}) has more paths than the cap of 10000000\n"
+        assert err.startswith(f"error: the symbolic lattice walk at (k={k}, n={n}) needs ")
+        assert err.endswith(" s, over the 2 s limit\n")
 
 
 def test_triangle(capsys):

@@ -27,7 +27,7 @@ from sscat import (
     sswt,
     sub_sswcn_brute,
 )
-from sscat import counting, linrec
+from sscat import counting, errors, linrec
 from sscat.counting import _transfer_matrix
 from sscat.errors import InvalidPathError
 from sscat.paths import StepKind, lattice_diagonal
@@ -95,11 +95,38 @@ def test_legacy_distinct_from_semisymmetric_at_4_1():
 
 
 def test_path_cap(monkeypatch):
-    monkeypatch.setattr(counting, "DEFAULT_PATH_CAP", 10)
-    with pytest.raises(TooLargeError):
+    # two walk steps per path step: 5 paths of 6 steps fit 100 us, 42 of 9 do not
+    monkeypatch.setattr(errors, "TIME_LIMIT_S", 100e-6)
+    assert sswcn_brute(3, 2).evaluate(ALL_ONES) == 5
+    with pytest.raises(TooLargeError, match="brute force over the paths of"):
         sswcn_brute(3, 3)
     with pytest.raises(TooLargeError):
         bounded_sswcn_brute(3, 4, 3)
+    # at the measured unit costs, the largest n each k admits, and one more
+    monkeypatch.undo()
+    for k, n in ((2, 10), (3, 5), (4, 4), (5, 3)):
+        counting._check_cap(k, n)
+        with pytest.raises(TooLargeError):
+            counting._check_cap(k, n + 1)
+
+
+def test_the_catalan_and_numeric_lattice_charges_meet_the_limit_at_their_edges(monkeypatch):
+    # estimates only: the last input each admits, and the first it refuses
+    counting._check_lattice_work(3, 129, ALL_ONES, None)
+    with pytest.raises(TooLargeError, match=r"numeric lattice walk at \(k=3, n=130\) needs"):
+        counting._check_lattice_work(3, 130, ALL_ONES, None)
+
+    class Divided(Exception):
+        pass
+
+    def divided(*args):
+        raise Divided
+
+    monkeypatch.setattr(counting.math, "perm", divided)
+    with pytest.raises(Divided):
+        catalan_number(3, 47538)
+    with pytest.raises(TooLargeError, match=r"Catalan number \(k=3, n=47539\) needs"):
+        catalan_number(3, 47539)
 
 
 def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
@@ -112,15 +139,20 @@ def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
         return catalan_number(k, n)
 
     monkeypatch.setattr(counting, "catalan_number", recorded)
-    for k, n in ((2, 200000), (3, 2500), (3, 32000), (5, 10**9)):
+    # the walks of these boxes fit, but not their paths' terms: the scan
+    # stops at the first count past the limit, the one asked last
+    for k, n, first in ((2, 60, 13), (3, 40, 7), (4, 20, 5), (6, 8, 4)):
         asked.clear()
         with pytest.raises(TooLargeError) as raised:
             counting.sswcn_lattice(k, n)
-        first = next(m for m in range(17) if catalan_number(k, m) > counting.DEFAULT_PATH_CAP)
         assert asked == list(range(first + 1)), (k, n)
-        assert str(raised.value) == (
-            f"(k={k}, n={n}) has more paths than the cap of {counting.DEFAULT_PATH_CAP}"
-        )
+        assert str(raised.value).startswith(f"the symbolic lattice walk at (k={k}, n={n}) needs")
+    # these boxes alone pass the limit, before any count is asked
+    for k, n in ((2, 200000), (3, 2500), (3, 32000), (5, 10**9)):
+        asked.clear()
+        with pytest.raises(TooLargeError, match=f"walk at \\(k={k}, n={n}\\) needs"):
+            counting.sswcn_lattice(k, n)
+        assert asked == [], (k, n)
     asked.clear()
     assert counting.sswcn_lattice(3, 2).evaluate(ALL_ONES) == 5
     assert asked == [0, 1, 2]
@@ -129,46 +161,62 @@ def test_path_cap_stops_at_the_first_count_over_it(monkeypatch):
     assert asked == [0, 1, 2]
 
 
-def test_symbolic_tag_budget_charges_the_tags_of_the_box():
-    # one path at n = 1, but each of the k + 1 points holds a tag of
-    # 2 (max_path_height + 1) slots of 2 bytes: k = 644 is just inside
-    # 2^28 bytes, and k = 645 just outside, refused before the walk
-    assert counting.SYMBOLIC_TAG_BUDGET == 2**28
-    assert 645 * 2 * (max_path_height(644, 1) + 1) * 2 <= 2**28
+def test_symbolic_tag_budget_charges_the_tags_of_the_box(monkeypatch):
+    # one path at n = 1, but each of its k steps moves a tag of
+    # 2 (max_path_height + 1) slots of 2 bytes: k = 1094 is just inside
+    # the limit, and k = 1095 just outside, refused before the walk
+    class Walked(Exception):
+        pass
+
+    def walked(*args, **kwargs):
+        raise Walked
+
+    monkeypatch.setattr(counting, "lattice_diagonal", walked)
+    with pytest.raises(Walked):
+        counting.sswcn_lattice(1094, 1)
+    with pytest.raises(TooLargeError, match=r"symbolic lattice walk at \(k=1095, n=1\) needs"):
+        counting.sswcn_lattice(1095, 1)
+    monkeypatch.undo()
     assert not counting.sswcn_lattice(644, 1).is_zero()
-    with pytest.raises(TooLargeError, match="SYMBOLIC_TAG_BUDGET") as raised:
-        counting.sswcn_lattice(645, 1)
-    assert "268754088 bytes of tags" in str(raised.value)
     # a low bound keeps the tags narrow: no path of (1000, 1) stays below 10
     assert counting.sswcn_lattice(1000, 1, u=10).is_zero()
 
 
 def test_enumeration_budget_counts_the_paths_up_front():
-    budget = counting.ENUMERATE_PATH_BUDGET
-    for k, n in ((4, 4), (3, 7), (4, 5), (5, 4), (2, 13)):
-        assert catalan_number(k, n) * k * n <= budget
+    cost, limit = errors.COST["printed step"], errors.TIME_LIMIT_S
+    for k, n in ((4, 4), (3, 6), (2, 12), (5, 3)):
+        assert catalan_number(k, n) * k * n * cost <= limit
         counting._check_enumeration(k, n)
+    # the largest ones that fit before, now past the limit: 1.66e6 paths of
+    # 20 steps at (4, 5) and (5, 4), 1.39e6 of 21 at (3, 7), 7.4e5 of 26
+    for k, n in ((2, 13), (3, 7), (4, 5), (5, 4)):
+        assert catalan_number(k, n) * k * n * cost > limit
+        with pytest.raises(TooLargeError, match=f"enumerating the paths of .k={k}, n={n}. needs"):
+            counting._check_enumeration(k, n)
     for k, n, u in ((2, 14, None), (6, 6, None), (3, 8, 100), (3, 40, 4)):
-        with pytest.raises(TooLargeError, match="ENUMERATE_PATH_BUDGET"):
+        with pytest.raises(TooLargeError, match="enumerating the paths of"):
             counting._check_enumeration(k, n, u)
     # A bound below the largest height counts only the paths under it.
-    assert catalan_number(6, 6) > budget >= bounded_sswcn_dp(6, 9, 6) * 36
+    assert catalan_number(6, 6) * 36 * cost > limit >= bounded_sswcn_dp(6, 9, 6) * 36 * cost
     counting._check_enumeration(6, 6, 9)
-    assert bounded_sswcn_dp(3, 4, 10) * 30 <= budget < bounded_sswcn_dp(3, 4, 11) * 33
-    counting._check_enumeration(3, 10, 4)
-    # and so does a Catalan number inside ENUMERATE_PATH_BUDGET whose
-    # steps are not: C_14 = 2,674,440 paths of 28 steps, but one of height 1
-    assert catalan_number(2, 14) <= budget < catalan_number(2, 14) * 28
+    assert bounded_sswcn_dp(3, 4, 9) * 27 * cost <= limit < bounded_sswcn_dp(3, 4, 10) * 30 * cost
+    counting._check_enumeration(3, 9, 4)
+    # and so does a Catalan number inside the limit whose steps are not:
+    # C_14 = 2,674,440 paths of 28 steps, but one of height 1
+    assert catalan_number(2, 14) * cost <= limit < catalan_number(2, 14) * 28 * cost
     for k, n, u in ((2, 14, 1), (2, 15, 2), (3, 8, 2)):
         counting._check_enumeration(k, n, u)
-    with pytest.raises(TooLargeError, match="of height <= 4 than ENUMERATE_PATH_BUDGET"):
-        counting._check_enumeration(3, 11, 4)
+    with pytest.raises(TooLargeError, match="of height <= 4 needs"):
+        counting._check_enumeration(3, 10, 4)
     # One path of K steps holds K + 1 points of K coordinates each: the
-    # budget admits K = 5791 (33,547,263 steps and coordinates), not 5792.
-    counting._check_enumeration(5791, 1)
-    for k in (5792, 12000):
-        with pytest.raises(TooLargeError, match="ENUMERATE_PATH_BUDGET"):
+    # limit admits K = 3428 (11,754,612 steps and coordinates), not 3429.
+    counting._check_enumeration(3428, 1)
+    for k in (3429, 12000):
+        with pytest.raises(TooLargeError, match="enumerating the paths of"):
             counting._check_enumeration(k, 1)
+    # the bytes of one path's points are charged before its count is asked
+    with pytest.raises(TooLargeError, match=r"\(k=100000000, n=1\) needs an estimated"):
+        counting._check_enumeration(10**8, 1)
 
 
 def test_state_space_3_5_golden():
@@ -465,24 +513,31 @@ def test_exact_bounded_work_budget():
         lambda: bounded_sswcn_dp(3, 30, 10**6),
         lambda: bounded_sequence(3, 30, 10**6 + 1),
         lambda: bounded_sswcn_dp(3, 12, 10**5, WeightAssignment((), 10**20)),
-        # a single residue: 2 S^2 (PRODUCT_BITS + bits(m)^2 // 64) per bit
-        # of n, 2 * 46^2 * (512 + 6) at (3, 30) mod 1000003, so n of 62,696
-        # bits is just outside; 2 * 10^2 * 512 at (3, 12) mod 1, 1,342,178
-        lambda: bounded_sswcn_dp(3, 30, 2**62695, modulus=1000003),
+        # a single residue: 2 S^2 small products (and bits(m)^2 // 64
+        # term-bits) per bit of n, 2 * 46^2 * (1 + 6 * 2^-9) products at
+        # (3, 30) mod 1000003, so n of 3,894 bits is just outside; 2 * 10^2
+        # products at (3, 12) mod 1, and n of 83,334 bits
+        lambda: bounded_sswcn_dp(3, 30, 2**3893, modulus=1000003),
         lambda: bounded_sequence(3, 30, 10**7, modulus=2**61 - 1),
-        lambda: bounded_sswcn_dp(3, 12, 2**1342177, modulus=1),
+        lambda: bounded_sswcn_dp(3, 12, 2**83333, modulus=1),
         # and so are exact counts that never grow
         lambda: bounded_sswcn_dp(3, 30, 10**8, WeightAssignment((), 0)),
     ):
-        with pytest.raises(TooLargeError, match="BOUNDED_WORK_BUDGET"):
+        with pytest.raises(TooLargeError, match="the bounded run at"):
             call()
     # the estimate is made before any step: `bounded 3 30 16000` stays in,
-    # so do its residues up to n = 5 * 10**6 as a sequence, and single
-    # residues one bit short of the cases above
+    # and so does n = 46,331, one short of the first n refused; so do the
+    # residues up to n = 362,317 as a sequence, and single residues one bit
+    # short of the cases above
     counting._plan(3, 30, ALL_ONES, None, 16001, single=True)
-    counting._plan(3, 30, ALL_ONES, 1000003, 5 * 10**6 + 1, single=False)
-    counting._plan(3, 30, ALL_ONES, 1000003, 2**62695, single=True)
-    counting._plan(3, 12, ALL_ONES, 1, 2**1342177, single=True)
+    counting._plan(3, 30, ALL_ONES, None, 46332, single=True)
+    with pytest.raises(TooLargeError, match=r"the bounded run at \(k=3, u=30\) up to n=46332 "):
+        counting._plan(3, 30, ALL_ONES, None, 46333, single=True)
+    counting._plan(3, 30, ALL_ONES, 1000003, 362318, single=False)
+    with pytest.raises(TooLargeError):
+        counting._plan(3, 30, ALL_ONES, 1000003, 362319, single=False)
+    counting._plan(3, 30, ALL_ONES, 1000003, 2**3892 + 1, single=True)
+    counting._plan(3, 12, ALL_ONES, 1, 2**83332 + 1, single=True)
 
 
 def test_a_single_residue_is_charged_its_cheaper_recurrence_route():

@@ -171,7 +171,7 @@ def test_lattice_needs_nonnegative_n():
 def test_path_cap_applies_only_without_a_bound():
     with pytest.raises(TooLargeError):
         sswcn_lattice(2, 16)
-    # (3, 30) has far more than DEFAULT_PATH_CAP paths; at u <= 3 only one.
+    # (3, 30) has far more paths than the limit admits; at u <= 3 only one.
     assert verify_min_u_formulas(3, 30).checks[-1] == "(k=3, u=3, n=30) = B0^30"
 
 

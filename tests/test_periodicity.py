@@ -21,7 +21,7 @@ from sscat import (
     sswcn_lattice_value,
     unbounded_sswcn_mod,
 )
-from sscat import linrec, periodicity
+from sscat import errors, linrec, periodicity
 from sscat.cli import main
 from sscat.counting import _transfer_matrix
 from tests.conftest import random_assignment
@@ -206,36 +206,35 @@ def test_period_3_8_mod_101_certified_by_dense_powers():
 
 
 def test_period_search_budget_exits_2():
-    # 77 states pass the work budget; one state and a period beyond 2^32
-    # pass the baby-step table
-    for argv, name, bound in (
-        (["3", "40", "--mod", "5"], "(k=3, u=40, m=5)", "PERIOD_SEARCH_BUDGET"),
+    # 77 states pass the limit in few rounds; one state and a period of
+    # about 10^15 after more of them
+    for argv, name in (
+        (["3", "40", "--mod", "5"], "(k=3, u=40, m=5) among 77 states"),
         (
             ["3", "2", "--mod", "1000000000000037", "--b", "3,fill=3"],
-            "(k=3, u=2, m=1000000000000037)",
-            "PERIOD_TABLE_LIMIT",
+            "(k=3, u=2, m=1000000000000037) among 1 states",
         ),
     ):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["period", *argv])
         assert code == 2 and not out.getvalue()
-        assert err.getvalue().startswith(f"error: period search for {name}")
-        assert "stopped at its budget" in err.getvalue()
-        assert bound in err.getvalue()
+        assert err.getvalue().startswith(f"error: the period search for {name}, no vector period")
+        assert err.getvalue().endswith(" s, over the 2 s limit\n")
 
 
 def test_a_first_round_past_the_budget_names_it(monkeypatch):
-    # (3, 12) has 10 states: round 0 costs (1 + 10) * 10^2 multiply-adds
-    monkeypatch.setattr(periodicity, "PERIOD_SEARCH_BUDGET", 1099)
+    # (3, 12) has 10 states: round 0 costs (1 + 10) steps of (10 + 4)^2
+    # small products, round 1 (2 + 10) more
+    product = errors.TIME_LIMIT_S / ((1 + 10) * 14**2)
+    monkeypatch.setitem(errors.COST, "product", product * 1.001)
     with pytest.raises(TooLargeError) as caught:
         detect_eventual_period(3, 12, m=5)
     message = str(caught.value)
-    assert "PERIOD_SEARCH_BUDGET = 1099" in message and "among 10 states" in message
-    assert "no round fits" in message and "up to 0" not in message
-    # round 0 fits and finds no omega <= 1; round 1 costs (2 + 10) * 10^2
-    monkeypatch.setattr(periodicity, "PERIOD_SEARCH_BUDGET", 1100)
-    with pytest.raises(TooLargeError, match="among 10 states: no vector period up to 1$"):
+    assert "among 10 states, no round run," in message and "up to 0" not in message
+    # round 0 fits and finds no omega <= 1
+    monkeypatch.setitem(errors.COST, "product", product * 0.999)
+    with pytest.raises(TooLargeError, match="among 10 states, no vector period up to 1, needs"):
         detect_eventual_period(3, 12, m=5)
 
 
@@ -370,5 +369,5 @@ def test_unbounded_mod_lattice_fallback():
     assert cert.kind == "lattice"
     assert value == catalan_number(3, 30) % 5
     # ... within the numeric lattice budget, checked before any walk
-    with pytest.raises(TooLargeError, match="LATTICE_WORK_BUDGET"):
+    with pytest.raises(TooLargeError, match="the numeric lattice walk at"):
         unbounded_sswcn_mod(3, 3000, ALL_ONES, 5)

@@ -309,12 +309,12 @@ def test_triangle_budget_counts_a_command_as_a_whole():
     # one box of its last row, whatever rows it starts from.
     from sscat.triangles import _check_work
 
-    for k, rows in ((2, 201), (3, 52), (4, 24), (6, 11)):
+    for k, rows in ((2, 211), (3, 58), (4, 27), (6, 13), (1333333, 0)):
         _check_work("height", k, range(rows + 1))
         _check_work("height", k, range(rows, rows + 1))
-    for k, rows in ((2, 202), (3, 53), (4, 25), (6, 12)):
+    for k, rows in ((2, 212), (3, 59), (4, 28), (6, 14), (1333334, 0)):
         for ns in (range(rows + 1), range(rows, rows + 1)):
-            with pytest.raises(TooLargeError, match="TRIANGLE_WORK_BUDGET"):
+            with pytest.raises(TooLargeError, match=f"the height triangle .k={k}, n=.*needs"):
                 _check_work("height", k, ns)
 
 
